@@ -42,6 +42,8 @@ from .interventions import (
 )
 from .objectives import REGULARIZER_KINDS, RegularizerConfig
 from .trainer import (
+    LOSS_KINDS,
+    NEGATIVE_STRATEGIES,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -79,8 +81,10 @@ def _ks(text: str) -> list[int]:
         raise CliError(f"could not parse k list {text!r}") from None
 
 
-def _apply_config(ns: argparse.Namespace, defaults: dict) -> None:
-    """Overlay a flat JSON config; explicitly passed flags keep their value."""
+def _apply_config(ns: argparse.Namespace, actions: dict[str, argparse.Action],
+                  argv: list[str] | None) -> None:
+    """Overlay a flat JSON config; flags given on the command line keep their
+    value, even when it equals the default."""
     if not ns.config:
         return
     try:
@@ -89,29 +93,58 @@ def _apply_config(ns: argparse.Namespace, defaults: dict) -> None:
         raise CliError(f"could not read config {ns.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object of flag values")
+    explicit = _explicit_flags(argv, ns.command)
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if attr not in defaults:
+        if attr not in actions:
             raise CliError(f"config key {key!r} is not a flag of this subcommand")
-        if getattr(ns, attr) == defaults[attr]:
-            setattr(ns, attr, value)
+        if attr not in explicit:
+            setattr(ns, attr, _config_value(actions[attr], key, value))
 
 
-def _digest(ns: argparse.Namespace) -> str:
+def _explicit_flags(argv: list[str] | None, command: str) -> set[str]:
+    """Dests given on the command line: a second parse, on a fresh parser, in
+    which no flag of the subcommand has a default, so only the given ones land
+    in the namespace."""
+    parser = build_parser()
+    for action in _subcommand_actions(parser, command).values():
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value converted and checked as argparse converts and checks
+    the same text given as a flag."""
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError(f"config key {key!r} has invalid value {value!r}")
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise CliError(f"config key {key!r} has invalid value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise CliError(f"config key {key!r} has invalid choice {value!r} "
+                       f"(choose from {', '.join(map(str, action.choices))})")
+    return converted
+
+
+def _resolved(ns: argparse.Namespace) -> tuple[dict, str]:
+    """The run's resolved flag values and their digest."""
     resolved = {
         k: v for k, v in sorted(vars(ns).items())
         if k not in ("func", "config") and not k.startswith("_")
     }
     blob = json.dumps(resolved, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return resolved, hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _digest(ns: argparse.Namespace) -> str:
+    return _resolved(ns)[1]
 
 
 def _write_config_sidecar(ns: argparse.Namespace, path: Path) -> str:
-    digest = _digest(ns)
-    resolved = {
-        k: v for k, v in sorted(vars(ns).items())
-        if k not in ("func", "config") and not k.startswith("_")
-    }
+    resolved, digest = _resolved(ns)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"config_digest": digest, "config": resolved}, fh,
                   indent=2, sort_keys=True, default=str)
@@ -312,18 +345,15 @@ def cmd_importance(ns: argparse.Namespace) -> int:
 
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loss", choices=LOSS_CHOICES, default="contrastive",
+    p.add_argument("--loss", choices=LOSS_KINDS, default="contrastive",
                    help="fitting loss")
     p.add_argument("--epochs", type=int, default=None,
                    help="training epochs (default: 200 contrastive, 5 mse)")
     p.add_argument("--batch-size", type=int, default=32, help="examples per batch")
     p.add_argument("--lr", type=float, default=1e-4, help="Adam learning rate")
     p.add_argument("--seed", type=int, default=0, help="run seed")
-    p.add_argument("--negatives", choices=["in-batch-hardest", "in-batch-random"],
+    p.add_argument("--negatives", choices=NEGATIVE_STRATEGIES,
                    default="in-batch-hardest", help="negative mining strategy")
-
-
-LOSS_CHOICES = ("contrastive", "mse")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,16 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    sub = parser._subparsers._group_actions[0].choices[command]
+    return {a.dest: a for a in sub._actions if a.dest != "help"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    defaults = {
-        a.dest: a.default
-        for a in parser._subparsers._group_actions[0].choices[ns.command]._actions
-        if a.dest not in ("help",)
-    }
     try:
-        _apply_config(ns, defaults)
+        _apply_config(ns, _subcommand_actions(parser, ns.command), argv)
         return ns.func(ns)
     except (CliError, CorpusError, ValueError, RuntimeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

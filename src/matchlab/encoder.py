@@ -81,9 +81,14 @@ class EmbeddingModel:
 
 @dataclass
 class EncodeResult:
+    """One forward pass. ``keep`` (None for a plain view) and ``rate`` let the
+    backward replay a dropout view exactly."""
+
     embedding: np.ndarray
     prenorm_sum: np.ndarray
     token_ids: Sentence
+    keep: np.ndarray | None = None
+    rate: float = 0.0
 
 
 def init_model(vocab: Vocab, dim: int = 32, seed: int = 0) -> EmbeddingModel:
@@ -97,7 +102,18 @@ def init_model(vocab: Vocab, dim: int = 32, seed: int = 0) -> EmbeddingModel:
     return EmbeddingModel(table, vocab)
 
 
-def _check_ids(model: EmbeddingModel, sentence: Sequence[int]) -> np.ndarray:
+def encode(
+    model: EmbeddingModel, sentence: Sequence[int], rate: float = 0.0, seed: int = 0
+) -> EncodeResult:
+    """Unit-norm sum of token embeddings; errors if the sum nearly cancels.
+
+    rate > 0 gives a dropout view: each token-embedding coordinate is zeroed
+    independently with probability ``rate`` and survivors are scaled by
+    1/(1-rate). Two seeds give two views of the same sentence, the
+    dropout-noise analogue of a masking intervention. rate=0 ignores the seed.
+    """
+    if not (0.0 <= rate < 1.0):
+        raise EncodeError(f"dropout rate must be in [0, 1), got {rate}")
     if len(sentence) == 0:
         raise EncodeError("cannot encode an empty sentence")
     ids = np.asarray(sentence, dtype=np.intp)
@@ -105,49 +121,19 @@ def _check_ids(model: EmbeddingModel, sentence: Sequence[int]) -> np.ndarray:
         raise EncodeError(
             f"token id out of range for vocab of size {model.vocab_size}: {sentence}"
         )
-    return ids
-
-
-def encode(model: EmbeddingModel, sentence: Sequence[int]) -> EncodeResult:
-    """Unit-norm sum of token embeddings; errors if the sum nearly cancels."""
-    ids = _check_ids(model, sentence)
-    # Summing in sorted-id order makes token-order invariance bit-exact.
-    s = model.table[np.sort(ids)].sum(axis=0)
+    keep = None
+    if rate == 0.0:
+        # Summing in sorted-id order makes token-order invariance bit-exact.
+        s = model.table[np.sort(ids)].sum(axis=0)
+    else:
+        keep = np.random.default_rng(seed).random((len(ids), model.dim)) >= rate
+        s = (model.table[ids] * keep).sum(axis=0) / (1.0 - rate)
     n = float(np.linalg.norm(s))
     if n <= NORM_EPS:
         raise DegenerateNormError(
             f"pre-normalization sum has norm {n:.3e} <= {NORM_EPS:g} for sentence {tuple(sentence)}"
         )
-    return EncodeResult(s / n, s, tuple(sentence))
-
-
-def _dropout_keep_mask(n_rows: int, dim: int, rate: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.random((n_rows, dim)) >= rate
-
-
-def encode_with_dropout(
-    model: EmbeddingModel, sentence: Sequence[int], rate: float, seed: int
-) -> EncodeResult:
-    """Encode with each token-embedding coordinate independently zeroed with
-    probability ``rate`` and survivors scaled by 1/(1-rate).
-
-    rate=0 reduces exactly to :func:`encode`. Two seeds give two views of the
-    same sentence, the dropout-noise analogue of a masking intervention.
-    """
-    if not (0.0 <= rate < 1.0):
-        raise EncodeError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return encode(model, sentence)
-    ids = _check_ids(model, sentence)
-    keep = _dropout_keep_mask(len(ids), model.dim, rate, seed)
-    s = (model.table[ids] * keep).sum(axis=0) / (1.0 - rate)
-    n = float(np.linalg.norm(s))
-    if n <= NORM_EPS:
-        raise DegenerateNormError(
-            f"dropout left a near-zero sum (norm {n:.3e}) for sentence {tuple(sentence)}"
-        )
-    return EncodeResult(s / n, s, tuple(sentence))
+    return EncodeResult(s / n, s, tuple(sentence), keep, rate)
 
 
 def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:
@@ -155,49 +141,23 @@ def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:
     return float(encode(model, x).embedding @ encode(model, z).embedding)
 
 
-def _projected(upstream: np.ndarray, unit: np.ndarray, norm: float) -> np.ndarray:
-    return (upstream - unit * (unit @ upstream)) / norm
-
-
-def encode_backward(
-    model: EmbeddingModel, sentence: Sequence[int], upstream: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Gradient of upstream^T encode(sentence) w.r.t. the touched table rows.
+def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.ndarray]:
+    """Gradient of upstream^T result.embedding w.r.t. the touched table rows of
+    the model and view that produced ``result``.
 
     Every occurrence of a token contributes the same projected vector, so a
-    token repeated k times accumulates k of them.
+    token repeated k times accumulates k of them; in a dropout view each
+    occurrence's vector is masked by its own keep row.
     """
-    res = encode(model, sentence)
+    u = result.embedding
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (model.dim,):
-        raise ValueError(f"upstream must have shape ({model.dim},), got {upstream.shape}")
-    n = float(np.linalg.norm(res.prenorm_sum))
-    g = _projected(upstream, res.embedding, n)
-    return {tok: cnt * g for tok, cnt in sorted(Counter(res.token_ids).items())}
-
-
-def encode_dropout_backward(
-    model: EmbeddingModel,
-    sentence: Sequence[int],
-    rate: float,
-    seed: int,
-    upstream: np.ndarray,
-) -> dict[int, np.ndarray]:
-    """Backward pass matching :func:`encode_with_dropout` for the same seed."""
-    if not (0.0 <= rate < 1.0):
-        raise EncodeError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return encode_backward(model, sentence, upstream)
-    res = encode_with_dropout(model, sentence, rate, seed)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    n = float(np.linalg.norm(res.prenorm_sum))
-    g = _projected(upstream, res.embedding, n)
-    keep = _dropout_keep_mask(len(res.token_ids), model.dim, rate, seed)
+    if upstream.shape != u.shape:
+        raise ValueError(f"upstream must have shape {u.shape}, got {upstream.shape}")
+    g = (upstream - u * (u @ upstream)) / float(np.linalg.norm(result.prenorm_sum))
+    if result.keep is None:
+        return {tok: cnt * g for tok, cnt in sorted(Counter(result.token_ids).items())}
     grads: dict[int, np.ndarray] = {}
-    for pos, tok in enumerate(res.token_ids):
-        contrib = keep[pos] * g / (1.0 - rate)
-        if tok in grads:
-            grads[tok] = grads[tok] + contrib
-        else:
-            grads[tok] = contrib
+    for keep, tok in zip(result.keep, result.token_ids):
+        contrib = keep * g / (1.0 - result.rate)
+        grads[tok] = grads[tok] + contrib if tok in grads else contrib
     return grads

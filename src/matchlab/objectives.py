@@ -15,6 +15,7 @@ Penalty menu (theta0 is the frozen base model, X' an intervened view of X):
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -26,13 +27,14 @@ from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
     EncodeError,
+    EncodeResult,
     VocabMismatchError,
     encode,
     encode_backward,
-    encode_dropout_backward,
-    encode_with_dropout,
 )
 from .interventions import InterventionError, mask_fraction
+
+logger = logging.getLogger(__name__)
 
 REGULARIZER_KINDS = ("none", "outreg", "itvreg", "itvaug", "maskreg", "simcse")
 
@@ -87,6 +89,7 @@ class LossValue:
     gradient: dict[int, np.ndarray]
     n_penalty_terms: int = 0
     n_skipped_penalty: int = 0
+    n_skipped_examples: int = 0
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,18 @@ def _accumulate(dst: dict[int, np.ndarray], src: Mapping[int, np.ndarray],
             dst[tok] = scale * g
 
 
+def _cosine_residual(a: EncodeResult, b: EncodeResult, target: float) -> LossValue:
+    """(a^T b - target)^2 with its gradient through both views, reported as a
+    penalty; every squared-cosine objective is a (view pair, target) rule on
+    top of this kernel."""
+    resid = float(a.embedding @ b.embedding) - target
+    value = resid * resid
+    grad: dict[int, np.ndarray] = {}
+    _accumulate(grad, encode_backward(a, 2.0 * resid * b.embedding))
+    _accumulate(grad, encode_backward(b, 2.0 * resid * a.embedding))
+    return LossValue(0.0, value, value, grad)
+
+
 def contrastive_loss(
     theta: EmbeddingModel, x: Sentence, z_pos: Sentence, z_neg: Sentence
 ) -> LossValue:
@@ -143,9 +158,9 @@ def contrastive_loss(
     if value <= 0.0:
         return LossValue(0.0, 0.0, 0.0, {})
     grad: dict[int, np.ndarray] = {}
-    _accumulate(grad, encode_backward(theta, x, n.embedding - p.embedding))
-    _accumulate(grad, encode_backward(theta, z_neg, a.embedding))
-    _accumulate(grad, encode_backward(theta, z_pos, -a.embedding))
+    _accumulate(grad, encode_backward(a, n.embedding - p.embedding))
+    _accumulate(grad, encode_backward(n, a.embedding))
+    _accumulate(grad, encode_backward(p, -a.embedding))
     return LossValue(value, 0.0, value, grad)
 
 
@@ -157,14 +172,8 @@ def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> 
     """
     if not (-1.0 - 1e-9 <= target <= 1.0 + 1e-9):
         raise ValueError(f"target {target} outside [-1, 1]")
-    a = encode(theta, x)
-    b = encode(theta, z)
-    resid = float(a.embedding @ b.embedding) - target
-    value = resid * resid
-    grad: dict[int, np.ndarray] = {}
-    _accumulate(grad, encode_backward(theta, x, 2.0 * resid * b.embedding))
-    _accumulate(grad, encode_backward(theta, z, 2.0 * resid * a.embedding))
-    return LossValue(value, 0.0, value, grad)
+    lv = _cosine_residual(encode(theta, x), encode(theta, z), target)
+    return LossValue(lv.total, 0.0, lv.total, lv.gradient)
 
 
 def _require_shared_vocab(theta: EmbeddingModel, theta0: EmbeddingModel) -> None:
@@ -175,12 +184,10 @@ def _require_shared_vocab(theta: EmbeddingModel, theta0: EmbeddingModel) -> None
 def outreg_penalty(theta: EmbeddingModel, theta0: EmbeddingModel, x: Sentence) -> LossValue:
     """|| f_theta(X) - f_theta0(X) ||^2; in [0, 4] for unit outputs."""
     _require_shared_vocab(theta, theta0)
-    a = encode(theta, x).embedding
-    a0 = encode(theta0, x).embedding
-    diff = a - a0
+    a = encode(theta, x)
+    diff = a.embedding - encode(theta0, x).embedding
     value = float(diff @ diff)
-    grad = encode_backward(theta, x, 2.0 * diff)
-    return LossValue(0.0, value, value, grad)
+    return LossValue(0.0, value, value, encode_backward(a, 2.0 * diff))
 
 
 def itvreg_penalty(
@@ -192,38 +199,19 @@ def itvreg_penalty(
     a = encode(theta, x)
     b = encode(theta, x_prime)
     ref = float(encode(theta0, x).embedding @ encode(theta0, x_prime).embedding)
-    resid = float(a.embedding @ b.embedding) - ref
-    value = resid * resid
-    grad: dict[int, np.ndarray] = {}
-    _accumulate(grad, encode_backward(theta, x, 2.0 * resid * b.embedding))
-    _accumulate(grad, encode_backward(theta, x_prime, 2.0 * resid * a.embedding))
-    return LossValue(0.0, value, value, grad)
+    return _cosine_residual(a, b, ref)
 
 
 def maskreg_penalty(theta: EmbeddingModel, x: Sentence, x_prime: Sentence) -> LossValue:
     """(f(X)^T f(X') - 1)^2: push masked views to look identical."""
-    a = encode(theta, x)
-    b = encode(theta, x_prime)
-    resid = float(a.embedding @ b.embedding) - 1.0
-    value = resid * resid
-    grad: dict[int, np.ndarray] = {}
-    _accumulate(grad, encode_backward(theta, x, 2.0 * resid * b.embedding))
-    _accumulate(grad, encode_backward(theta, x_prime, 2.0 * resid * a.embedding))
-    return LossValue(0.0, value, value, grad)
+    return _cosine_residual(encode(theta, x), encode(theta, x_prime), 1.0)
 
 
 def simcse_penalty(
     theta: EmbeddingModel, x: Sentence, seed_a: int, seed_b: int, rate: float
 ) -> LossValue:
     """(f(X, s)^T f(X, s') - 1)^2 over two dropout views of the same sentence."""
-    u = encode_with_dropout(theta, x, rate, seed_a)
-    v = encode_with_dropout(theta, x, rate, seed_b)
-    resid = float(u.embedding @ v.embedding) - 1.0
-    value = resid * resid
-    grad: dict[int, np.ndarray] = {}
-    _accumulate(grad, encode_dropout_backward(theta, x, rate, seed_a, 2.0 * resid * v.embedding))
-    _accumulate(grad, encode_dropout_backward(theta, x, rate, seed_b, 2.0 * resid * u.embedding))
-    return LossValue(0.0, value, value, grad)
+    return _cosine_residual(encode(theta, x, rate, seed_a), encode(theta, x, rate, seed_b), 1.0)
 
 
 def intervention_seed(batch_seed: int, index: int, draw: int = 0) -> int:
@@ -268,9 +256,7 @@ def build_itvaug(
             continue
         pairs.append(AugmentedPair(sent, x_prime, target))
     if skipped:
-        import logging
-
-        logging.getLogger(__name__).warning(
+        logger.warning(
             "build_itvaug skipped %d of %d selected queries", skipped, take
         )
     return pairs
@@ -297,23 +283,32 @@ def total_loss(
     indexed by the sentence's flattened position, so a component-by-component
     recomputation of any example reproduces this result exactly. Sentences a
     penalty cannot handle (too short to mask, degenerate views) are skipped
-    and counted, never zero-filled.
+    and counted, never zero-filled; so are examples whose fitting loss meets a
+    degenerate view, and the fitting mean runs over the examples that remain.
+    Raises DegenerateNormError only when no example remains.
     """
     if not batch.examples:
         raise ValueError("batch must contain at least one example")
     if config.kind in ("outreg", "itvreg") and theta0 is None:
         raise ValueError(f"{config.kind} requires a base model")
 
-    n = len(batch.examples)
+    fits: list[LossValue] = []
+    for ex in batch.examples:
+        try:
+            if isinstance(ex, ContrastiveExample):
+                fits.append(contrastive_loss(theta, ex.x, ex.z_pos, ex.z_neg))
+            elif isinstance(ex, ScoredExample):
+                fits.append(mse_loss(theta, ex.x, ex.z, ex.relevance))
+            else:
+                raise TypeError(f"unsupported example type {type(ex).__name__}")
+        except DegenerateNormError:
+            pass
+    if not fits:
+        raise DegenerateNormError("every example of the batch has a degenerate view")
+    n = len(fits)
     erm_sum = 0.0
     gradient: dict[int, np.ndarray] = {}
-    for ex in batch.examples:
-        if isinstance(ex, ContrastiveExample):
-            lv = contrastive_loss(theta, ex.x, ex.z_pos, ex.z_neg)
-        elif isinstance(ex, ScoredExample):
-            lv = mse_loss(theta, ex.x, ex.z, ex.relevance)
-        else:
-            raise TypeError(f"unsupported example type {type(ex).__name__}")
+    for lv in fits:
         erm_sum += lv.total
         _accumulate(gradient, lv.gradient, 1.0 / n)
     erm = erm_sum / n
@@ -335,7 +330,10 @@ def total_loss(
                 flat_index += 1
     elif config.kind == "itvaug":
         for ap in batch.augmented:
-            terms.append(mse_loss(theta, ap.x, ap.x_prime, ap.target))
+            try:
+                terms.append(mse_loss(theta, ap.x, ap.x_prime, ap.target))
+            except EncodeError:
+                skipped += 1
 
     penalty = 0.0
     if terms:
@@ -344,8 +342,9 @@ def total_loss(
             _accumulate(gradient, t.gradient, config.lam / len(terms))
 
     total = erm + config.lam * penalty
-    return LossValue(erm, penalty, total, gradient,
-                     n_penalty_terms=len(terms), n_skipped_penalty=skipped)
+    return LossValue(erm, penalty, total, gradient, n_penalty_terms=len(terms),
+                     n_skipped_penalty=skipped,
+                     n_skipped_examples=len(batch.examples) - n)
 
 
 def _one_penalty(
@@ -359,15 +358,12 @@ def _one_penalty(
 ) -> LossValue:
     if config.kind == "outreg":
         return outreg_penalty(theta, theta0, sent)
-    if config.kind == "itvreg":
+    if config.kind in ("itvreg", "maskreg"):
         x_prime = mask_fraction(
             sent, config.resolved_mask_fraction, intervention_seed(batch_seed, index, draw)
         )
-        return itvreg_penalty(theta, theta0, sent, x_prime)
-    if config.kind == "maskreg":
-        x_prime = mask_fraction(
-            sent, config.resolved_mask_fraction, intervention_seed(batch_seed, index, draw)
-        )
+        if config.kind == "itvreg":
+            return itvreg_penalty(theta, theta0, sent, x_prime)
         return maskreg_penalty(theta, sent, x_prime)
     if config.kind == "simcse":
         return simcse_penalty(

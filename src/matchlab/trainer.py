@@ -145,12 +145,9 @@ def mine_negatives(
             continue
         if strategy == "in-batch-hardest":
             sims = [float(q_emb[i] @ z_emb[c]) for c in cands]
-            # cands are id-sorted, so strict > keeps the smallest id on ties
-            best = 0
-            for j in range(1, len(cands)):
-                if sims[j] > sims[best]:
-                    best = j
-            pick = cands[best]
+            # cands are id-sorted and argmax keeps the first maximum, so ties
+            # go to the smallest id
+            pick = cands[int(np.argmax(sims))]
         else:
             pick = cands[int(rng.integers(len(cands)))]
         out.append((pick, usable_items[pick]))
@@ -302,15 +299,17 @@ def train(
                 lv = total_loss(theta, theta0, Batch(examples, batch_seed, aug),
                                 config.regularizer)
             except DegenerateNormError:
+                # raised only when every example of the batch is degenerate
                 skipped["degenerate"] += len(examples)
                 continue
             if not np.isfinite(lv.total):
                 raise TrainError(
                     f"non-finite loss {lv.total} at epoch {epoch}, batch {b_idx}"
                 )
+            skipped["degenerate"] += lv.n_skipped_examples
             skipped["penalty_terms"] += lv.n_skipped_penalty
             adam.step(theta.table, lv.gradient)
-            n_ex = len(examples)
+            n_ex = len(examples) - lv.n_skipped_examples
             erm_sum += lv.erm * n_ex
             pen_sum += lv.penalty * n_ex
             total_sum += lv.total * n_ex

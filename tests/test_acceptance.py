@@ -99,7 +99,7 @@ def test_criterion_02_gradients_match_finite_differences():
         model = random_model(n_vocab, dim, rng)
         x = random_sentence(n_vocab, rng, 2, 4)
         u = rng.normal(size=dim)
-        an = encode_backward(model, x, u)
+        an = encode_backward(encode(model, x), u)
         _fd_check(lambda: float(u @ encode(model, x).embedding),
                   model, set(x), an)
 

@@ -216,6 +216,33 @@ class TestConfigOverlay:
         assert sidecar["config"]["epochs"] == 1
         assert sidecar["config"]["lr"] == 0.01
 
+    def test_explicit_flag_equal_to_default_beats_config(self, pipeline, tmp_path):
+        root, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": "mse", "epochs": 1, "lr": 0.5}))
+        run_ok([
+            "pretrain-base", "--corpus", str(root / "data" / "train.jsonl"),
+            "--out", str(tmp_path / "b.ckpt"), "--vocab-out", str(tmp_path / "v.tsv"),
+            "--dim", "8", "--config", str(cfg), "--lr", "1e-4",
+        ])
+        sidecar = json.loads((tmp_path / "b.ckpt.config.json").read_text())
+        assert sidecar["config"]["lr"] == 1e-4
+        assert sidecar["config"]["epochs"] == 1
+
+    def test_config_values_are_coerced_or_rejected(self, pipeline, tmp_path):
+        root, _ = pipeline
+        argv = [
+            "pretrain-base", "--corpus", str(root / "data" / "train.jsonl"),
+            "--out", str(tmp_path / "b.ckpt"), "--vocab-out", str(tmp_path / "v.tsv"),
+            "--dim", "8", "--config", str(tmp_path / "cfg.json"),
+        ]
+        (tmp_path / "cfg.json").write_text(json.dumps({"loss": "mse", "epochs": "2"}))
+        assert run_ok(argv)["epochs"] == 2
+        for bad in ({"epochs": "two"}, {"epochs": 2.5}, {"lr": [0.1]}, {"loss": "hinge"}):
+            (tmp_path / "cfg.json").write_text(json.dumps(bad))
+            err = run_fail(argv)
+            assert next(iter(bad)) in err["error"]
+
     def test_unknown_config_key_rejected(self, pipeline, tmp_path):
         root, _ = pipeline
         cfg = tmp_path / "cfg.json"

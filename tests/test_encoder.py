@@ -13,8 +13,6 @@ from matchlab import (
     VocabMismatchError,
     encode,
     encode_backward,
-    encode_dropout_backward,
-    encode_with_dropout,
     init_model,
     relevance,
 )
@@ -128,7 +126,7 @@ class TestEncodeBackward:
             ids = tuple(int(i) for i in rng.integers(1, 8, size=length))
             g = rng.normal(size=5)
 
-            grads = encode_backward(model, ids, g)
+            grads = encode_backward(encode(model, ids), g)
             fd = fd_gradient(lambda: float(g @ encode(model, ids).embedding),
                              model, set(ids))
             assert grad_rel_error(grads, fd, model.dim) < 1e-5
@@ -138,14 +136,14 @@ class TestEncodeBackward:
         model = random_model(5, 4, np.random.default_rng(2))
         ids = (1, 2, 3)
         res = encode(model, ids)
-        grads = encode_backward(model, ids, res.embedding.copy())
+        grads = encode_backward(res, res.embedding.copy())
         for g in grads.values():
             assert np.linalg.norm(g) < 1e-12
 
     def test_repeated_token_accumulates(self):
         model = random_model(4, 3, np.random.default_rng(5))
         g = np.array([0.3, -0.2, 0.5])
-        grads = encode_backward(model, (1, 1, 2), g)
+        grads = encode_backward(encode(model, (1, 1, 2)), g)
         assert set(grads) == {1, 2}
         fd = fd_gradient(lambda: float(g @ encode(model, (1, 1, 2)).embedding),
                          model, {1, 2})
@@ -157,22 +155,22 @@ class TestDropout:
         model = random_model(6, 5, np.random.default_rng(0))
         ids = (1, 2, 3)
         a = encode(model, ids).embedding
-        b = encode_with_dropout(model, ids, rate=0.0, seed=4).embedding
+        b = encode(model, ids, rate=0.0, seed=4).embedding
         assert np.array_equal(a, b)
 
     def test_seed_reproducible_and_views_differ(self):
         model = random_model(6, 8, np.random.default_rng(1))
         ids = (1, 2, 3, 4)
-        a = encode_with_dropout(model, ids, rate=0.4, seed=10).embedding
-        b = encode_with_dropout(model, ids, rate=0.4, seed=10).embedding
-        c = encode_with_dropout(model, ids, rate=0.4, seed=11).embedding
+        a = encode(model, ids, rate=0.4, seed=10).embedding
+        b = encode(model, ids, rate=0.4, seed=10).embedding
+        c = encode(model, ids, rate=0.4, seed=11).embedding
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_unit_norm(self):
         model = random_model(6, 8, np.random.default_rng(1))
         for seed in range(20):
-            emb = encode_with_dropout(model, (1, 2, 3), rate=0.3, seed=seed).embedding
+            emb = encode(model, (1, 2, 3), rate=0.3, seed=seed).embedding
             assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverted_scaling_recovers_mean(self):
@@ -183,13 +181,13 @@ class TestDropout:
         acc = np.zeros(6)
         n = 4000
         for seed in range(n):
-            acc += encode_with_dropout(model, ids, rate=0.5, seed=seed).prenorm_sum
+            acc += encode(model, ids, rate=0.5, seed=seed).prenorm_sum
         np.testing.assert_allclose(acc / n, clean, atol=0.05)
 
     def test_rate_one_rejected(self):
         model = random_model(4, 3, np.random.default_rng(0))
         with pytest.raises(EncodeError):
-            encode_with_dropout(model, (1, 2), rate=1.0, seed=0)
+            encode(model, (1, 2), rate=1.0, seed=0)
 
     def test_dropout_backward_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -199,9 +197,9 @@ class TestDropout:
             seed = int(rng.integers(0, 1000))
             g = rng.normal(size=5)
 
-            grads = encode_dropout_backward(model, ids, 0.3, seed, g)
+            grads = encode_backward(encode(model, ids, 0.3, seed), g)
             fd = fd_gradient(
-                lambda: float(g @ encode_with_dropout(model, ids, rate=0.3,
-                                                      seed=seed).embedding),
+                lambda: float(g @ encode(model, ids, rate=0.3,
+                                         seed=seed).embedding),
                 model, set(ids))
             assert grad_rel_error(grads, fd, model.dim) < 1e-5

@@ -5,10 +5,12 @@ differences; fixed-geometry fixtures pin the arithmetic."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import matchlab.encoder
 from matchlab import (
     AugmentedPair,
     Batch,
@@ -311,6 +313,46 @@ def _scored_batch(n_tokens, rng, size, seed):
     return Batch(examples=examples, seed=seed)
 
 
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Sentences of every forward pass, counted at every module binding of
+    encode (the package re-exports it and each module imports it by name)."""
+    calls = []
+    original = matchlab.encoder.encode
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "matchlab" or name.startswith("matchlab."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+class TestOneForwardPerView:
+    @pytest.mark.parametrize("objective, passes", [
+        (lambda th, th0: mse_loss(th, (1, 2, 3), (4, 5), 0.3), 2),
+        (lambda th, th0: maskreg_penalty(th, (1, 2, 3), (1, 3)), 2),
+        (lambda th, th0: simcse_penalty(th, (1, 2, 3), 1, 2, 0.1), 2),
+        (lambda th, th0: itvreg_penalty(th, th0, (1, 2, 3), (1, 3)), 4),
+    ], ids=["mse_loss", "maskreg_penalty", "simcse_penalty", "itvreg_penalty"])
+    def test_each_view_is_encoded_once(self, encode_calls, objective, passes):
+        theta = random_model(8, 4, np.random.default_rng(0))
+        theta0 = random_model(8, 4, np.random.default_rng(1), frozen=True)
+        assert objective(theta, theta0).gradient
+        assert len(encode_calls) == passes
+
+    def test_active_contrastive_encodes_three_views(self, encode_calls):
+        # x matches z_neg and is orthogonal to z_pos: hinge value 2
+        model = model_from_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        lv = contrastive_loss(model, (1,), (2,), (3,))
+        assert lv.total == pytest.approx(2.0) and lv.gradient
+        assert len(encode_calls) == 3
+
+
 class TestTotalLoss:
     def test_erm_is_the_example_mean(self):
         model = random_model(8, 4, np.random.default_rng(0))
@@ -362,6 +404,29 @@ class TestTotalLoss:
         lv = total_loss(theta, theta0, batch, cfg)
         assert lv.n_skipped_penalty == 1
         assert lv.n_penalty_terms == 1
+
+    def test_degenerate_example_is_skipped_alone(self):
+        # t1 + t2 cancels, so the first example has no direction
+        model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        batch = Batch(examples=[ScoredExample((1, 2), (3,), 0.5),
+                                ScoredExample((3,), (4,), 0.2)], seed=0)
+        lv = total_loss(model, None, batch, RegularizerConfig(kind="none"))
+        single = mse_loss(model, (3,), (4,), 0.2)
+        assert lv.n_skipped_examples == 1
+        assert lv.erm == single.total
+        assert set(lv.gradient) == {3, 4}
+        for tok, g in single.gradient.items():
+            assert np.array_equal(lv.gradient[tok], g)
+
+    def test_degenerate_augmented_pair_is_skipped_and_counted(self):
+        model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        batch = Batch(examples=[ScoredExample((3,), (4,), 0.2)], seed=0,
+                      augmented=[AugmentedPair((1, 2), (1,), 0.5),
+                                 AugmentedPair((3, 4), (3,), 0.9)])
+        lv = total_loss(model, None, batch, RegularizerConfig(kind="itvaug"))
+        assert lv.n_skipped_penalty == 1
+        assert lv.n_penalty_terms == 1
+        assert lv.penalty == mse_loss(model, (3, 4), (3,), 0.9).total
 
     def test_anchored_kinds_require_theta0(self):
         model = random_model(8, 4, np.random.default_rng(0))

@@ -8,7 +8,9 @@ import pytest
 import matchlab.trainer
 from matchlab import (
     CheckpointError,
+    Corpus,
     LossValue,
+    Pair,
     MiningExample,
     RegularizerConfig,
     TrainConfig,
@@ -241,6 +243,17 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=11, learning_rate=0.01, seed=0)
         run = train(corpus, theta_init, theta0, cfg)
         assert run.skipped["short_batch"] == 1
+
+    def test_degenerate_example_skips_alone(self):
+        # t1 + t2 cancels, so q1's pair has no direction; q2's pair still trains
+        theta_init = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        corpus = Corpus({"q1": ("t1", "t2"), "q2": ("t3",)}, {"i1": ("t3",), "i2": ("t4",)},
+                        [Pair("q1", "i1", 0.5), Pair("q2", "i2", 0.2)])
+        cfg = TrainConfig(loss_kind="mse", epochs=1, batch_size=2, learning_rate=0.01)
+        run = train(corpus, theta_init, theta_init.copy(frozen=True), cfg)
+        assert run.skipped["degenerate"] == 1
+        moved = np.any(run.theta.table != theta_init.table, axis=1)
+        assert moved.tolist() == [False, False, False, True, True]
 
     def test_loss_trace_csv(self, tmp_path):
         corpus, _, theta_init, theta0 = _tiny_setup()
