@@ -139,10 +139,6 @@ def _resolved(ns: argparse.Namespace) -> tuple[dict, str]:
     return resolved, hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _digest(ns: argparse.Namespace) -> str:
-    return _resolved(ns)[1]
-
-
 def _write_config_sidecar(ns: argparse.Namespace, path: Path) -> str:
     resolved, digest = _resolved(ns)
     with open(path, "w", encoding="utf-8") as fh:
@@ -201,7 +197,7 @@ def cmd_split(ns: argparse.Namespace) -> int:
         holdout = most_frequent_categories(corpus, ns.holdout_k)
     else:
         raise CliError("give --holdout names or --holdout-k")
-    spec = SplitSpec(kind="category-holdout", holdout=holdout, seed=ns.seed,
+    spec = SplitSpec(holdout=holdout, seed=ns.seed,
                      train_fraction=ns.train_fraction)
     train_c, iid_c, ood_c = split_by_category(corpus, spec)
     out = Path(ns.out_dir)
@@ -237,9 +233,9 @@ def cmd_pretrain_base(ns: argparse.Namespace) -> int:
     run = train(corpus, theta_init, theta_init.copy(frozen=True), config)
     save_checkpoint(run.theta, ns.out)
     vocab.save(ns.vocab_out)
-    if ns.trace_out:
-        write_loss_trace(run, ns.trace_out, header_comment=f"config_digest={_digest(ns)}")
     digest = _write_config_sidecar(ns, Path(str(ns.out) + ".config.json"))
+    if ns.trace_out:
+        write_loss_trace(run, ns.trace_out, header_comment=f"config_digest={digest}")
     print(json.dumps({
         "checkpoint": str(ns.out),
         "vocab": str(ns.vocab_out),
@@ -270,9 +266,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
     )
     run = train(corpus, theta_init, theta0, config)
     save_checkpoint(run.theta, ns.out)
-    if ns.trace_out:
-        write_loss_trace(run, ns.trace_out, header_comment=f"config_digest={_digest(ns)}")
     digest = _write_config_sidecar(ns, Path(str(ns.out) + ".config.json"))
+    if ns.trace_out:
+        write_loss_trace(run, ns.trace_out, header_comment=f"config_digest={digest}")
     print(json.dumps({
         "checkpoint": str(ns.out),
         "epochs": config.epochs,
@@ -289,7 +285,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     vocab = Vocab.load(ns.vocab)
     theta = load_checkpoint(ns.checkpoint, vocab)
     report = evaluate(theta, corpus, ks=_ks(ns.ks), n_bins=ns.bins, split=ns.split_tag)
-    digest = _digest(ns)
+    digest = _resolved(ns)[1]
     write_report_json(report, ns.out, config_digest=digest)
     if ns.csv:
         write_report_csv(report, ns.csv, config_digest=digest)
@@ -311,9 +307,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         sweeps[name] = sweep_interpolation(
             theta, iid_c, pool_c, fractions, ns.seed, ks=_ks(ns.ks), n_bins=ns.bins
         )
-    write_sweep_csv(sweeps, ns.out, config_digest=_digest(ns))
+    digest = _resolved(ns)[1]
+    write_sweep_csv(sweeps, ns.out, config_digest=digest)
     print(json.dumps({"models": sorted(sweeps), "fractions": fractions,
-                      "out": str(ns.out), "config_digest": _digest(ns)}))
+                      "out": str(ns.out), "config_digest": digest}))
     return 0
 
 

@@ -256,19 +256,14 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocab:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to carve a corpus: 'category-holdout', 'interpolation', or 'random'."""
+    """A category-holdout split: the held-out categories, the shuffle seed and
+    the train share of the remaining queries."""
 
-    kind: str
     holdout: tuple[str, ...] = ()
-    fraction: float = 0.0
     seed: int = 0
     train_fraction: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.kind not in ("category-holdout", "interpolation", "random"):
-            raise CorpusError(f"unknown split kind {self.kind!r}")
-        if not (0.0 <= self.fraction <= 1.0):
-            raise CorpusError(f"fraction {self.fraction} outside [0, 1]")
         if not (0.0 < self.train_fraction < 1.0):
             raise CorpusError(f"train_fraction {self.train_fraction} outside (0, 1)")
 
@@ -290,8 +285,6 @@ def split_by_category(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, 
 
     Returns (train, iid_eval, ood_eval). All three share the item set.
     """
-    if spec.kind != "category-holdout":
-        raise CorpusError(f"split_by_category needs kind 'category-holdout', got {spec.kind!r}")
     if not spec.holdout:
         raise CorpusError("no held-out categories given")
     unlabeled = [q for q in corpus.queries if q not in corpus.query_categories]
@@ -326,37 +319,32 @@ def most_frequent_categories(corpus: Corpus, k: int) -> tuple[str, ...]:
 
 
 def interpolate_ood(iid_eval: Corpus, ood_pool: Corpus, fraction: float, seed: int) -> Corpus:
-    """Mix floor(fraction * |new pool items|) pool items (and their relevant
-    queries) into iid_eval.
+    """Mix floor(fraction * |pool queries|) pool queries, their pairs and the
+    pool items those pairs reference into iid_eval.
 
-    A single seeded shuffle of the pool is prefix-sampled, so for a fixed seed
-    the included item sets are nested as fraction grows.
+    A single seeded shuffle of the pool queries is prefix-sampled, so for a
+    fixed seed the included query and item sets are nested as fraction grows.
+    Sampling queries, not new items, makes a pool that shares iid_eval's item
+    set shift the mixture too; a shared item keeps iid_eval's tokens.
     """
     if not (0.0 <= fraction <= 1.0):
         raise CorpusError(f"fraction {fraction} outside [0, 1]")
-    new_ids = sorted(set(ood_pool.items) - set(iid_eval.items))
+    pool_qids = sorted(ood_pool.queries)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(new_ids))
-    take = int(math.floor(fraction * len(new_ids)))
-    added_items = {new_ids[i] for i in order[:take]}
-
-    added_queries = {
-        p.query_id
-        for p in ood_pool.pairs
-        if p.relevance == 1.0 and p.item_id in added_items
-    }
+    order = rng.permutation(len(pool_qids))
+    take = int(math.floor(fraction * len(pool_qids)))
+    added_queries = {pool_qids[i] for i in order[:take]}
     clash = added_queries & set(iid_eval.queries)
     if clash:
         raise CorpusError(f"pool query id {sorted(clash)[0]!r} collides with iid_eval")
+    added_pairs = [p for p in ood_pool.pairs if p.query_id in added_queries]
+    added_items = {p.item_id for p in added_pairs} - set(iid_eval.items)
 
     queries = dict(iid_eval.queries)
     queries.update({q: ood_pool.queries[q] for q in sorted(added_queries)})
     items = dict(iid_eval.items)
     items.update({i: ood_pool.items[i] for i in sorted(added_items)})
-    pairs = list(iid_eval.pairs) + [
-        p for p in ood_pool.pairs
-        if p.query_id in added_queries and p.item_id in added_items
-    ]
+    pairs = list(iid_eval.pairs) + added_pairs
     qcat = dict(iid_eval.query_categories)
     qcat.update({q: c for q, c in ood_pool.query_categories.items() if q in added_queries})
     icat = dict(iid_eval.item_categories)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -134,6 +135,44 @@ def encode(
             f"pre-normalization sum has norm {n:.3e} <= {NORM_EPS:g} for sentence {tuple(sentence)}"
         )
     return EncodeResult(s / n, s, tuple(sentence), keep, rate)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of ``a`` dotted with row i of ``b`` (or with ``b``, one vector),
+    each its own dot rounded as ``float(a[i] @ b[i])``: a matrix-vector product
+    can round equal rows apart, and duplicate items must tie for the id
+    tie-break."""
+    return np.matmul(a[:, None, :], np.asarray(b)[..., None])[:, 0, 0]
+
+
+def encode_batch(
+    model: EmbeddingModel, sentences: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read path's forward: ``(embeddings, ok)``, row i bit-identical to
+    ``encode(model, sentences[i]).embedding``. Where ``encode`` would raise
+    (empty sentence, id outside the vocabulary, degenerate norm), ``ok[i]`` is
+    False and row i is zero."""
+    n, (v, d) = len(sentences), model.table.shape
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=n)
+    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.intp,
+                       count=int(lengths.sum()))
+    row = np.repeat(np.arange(n), lengths)
+    bad_id = (flat < 0) | (flat >= v)
+    ok = lengths > 0
+    ok[row[bad_id]] = False
+    flat[bad_id] = 0
+    # Each row's ids in ascending order, then zero padding: every row sums in
+    # the order encode uses, and adding zeros changes no bit.
+    order = np.lexsort((flat, row))
+    col = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    gathered = np.zeros((n, int(lengths.max(initial=0)), d))
+    gathered[row, col] = model.table[flat[order]]
+    sums = gathered.sum(axis=1)
+    norms = np.sqrt(row_dots(sums, sums))
+    ok &= norms > NORM_EPS
+    emb = np.zeros((n, d))
+    emb[ok] = sums[ok] / norms[ok, None]
+    return emb, ok
 
 
 def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:

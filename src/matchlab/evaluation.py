@@ -13,7 +13,7 @@ from typing import AbstractSet, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, Sentence, interpolate_ood, item_frequency_quantiles
-from .encoder import EmbeddingModel, EncodeError, encode
+from .encoder import EmbeddingModel, EncodeError, encode, encode_batch, row_dots
 
 NO_TRUTH_BIN = -1
 
@@ -26,6 +26,18 @@ class EvalError(ValueError):
 class RankingResult:
     ranked: list[tuple[str, float]]
     excluded: list[str] = field(default_factory=list)
+
+
+def _encode_items(
+    theta: EmbeddingModel, items: Mapping[str, Sentence]
+) -> tuple[list[str], list[str], np.ndarray]:
+    """(encodable ids, excluded ids, the encodable items' embedding rows),
+    ids ascending."""
+    all_ids = sorted(items)
+    emb, ok = encode_batch(theta, [items[iid] for iid in all_ids])
+    ids = [iid for iid, good in zip(all_ids, ok) if good]
+    excluded = [iid for iid, good in zip(all_ids, ok) if not good]
+    return ids, excluded, emb[ok]
 
 
 def rank_items(
@@ -46,23 +58,12 @@ def rank_items(
     if k > len(items):
         raise EvalError(f"k={k} exceeds the candidate count {len(items)}")
     q = encode(theta, x).embedding
-    ids: list[str] = []
-    excluded: list[str] = []
-    rows: list[np.ndarray] = []
-    for iid in sorted(items):
-        try:
-            rows.append(encode(theta, items[iid]).embedding)
-            ids.append(iid)
-        except EncodeError:
-            excluded.append(iid)
+    ids, excluded, rows = _encode_items(theta, items)
     if k > len(ids):
         raise EvalError(
             f"k={k} exceeds the {len(ids)} encodable items ({len(excluded)} excluded)"
         )
-    # One dot per row, not a matvec: blocked matvec kernels can round
-    # identical rows differently, and a one-ulp gap between duplicate items
-    # would defeat the id tie-break.
-    scores = np.array([float(r @ q) for r in rows])
+    scores = row_dots(rows, q)
     order = np.lexsort((np.array(ids), -scores))
     ranked = [(ids[i], float(scores[i])) for i in order[:k]]
     return RankingResult(ranked=ranked, excluded=excluded)
@@ -178,18 +179,11 @@ def evaluate(
         if k < 1:
             raise EvalError(f"k must be >= 1, got {k}")
 
-    item_ids: list[str] = []
-    excluded: list[str] = []
-    rows: list[np.ndarray] = []
-    for iid in sorted(corpus.items):
-        try:
-            rows.append(encode(theta, theta.vocab.encode(corpus.items[iid])).embedding)
-            item_ids.append(iid)
-        except EncodeError:
-            excluded.append(iid)
+    vocab = theta.vocab
+    item_ids, excluded, item_matrix = _encode_items(
+        theta, {iid: vocab.encode(toks) for iid, toks in corpus.items.items()})
     if not item_ids:
         raise EvalError("no candidate item could be encoded")
-    item_matrix = np.stack(rows)
     id_arr = np.array(item_ids)
 
     relevant = corpus.relevant_by_query()
@@ -206,16 +200,17 @@ def evaluate(
     bin_mass: dict[int, int] = {}
     n_no_truth = 0
 
-    q_emb: dict[str, np.ndarray] = {}
-    for qid in sorted(corpus.queries):
+    qids = sorted(corpus.queries)
+    q_sents = [vocab.encode(corpus.queries[qid]) for qid in qids]
+    q_matrix, q_ok = encode_batch(theta, q_sents)
+    if not q_ok.all():
+        i = int(np.argmin(q_ok))  # the first query that fails
         try:
-            q = encode(theta, theta.vocab.encode(corpus.queries[qid])).embedding
+            encode(theta, q_sents[i])
         except EncodeError as exc:
-            raise EvalError(f"query {qid!r} failed to encode: {exc}") from exc
-        q_emb[qid] = q
-        # Per-row dots for the same reason as rank_items: duplicate items
-        # must tie exactly so the id tie-break decides.
-        scores = np.array([float(r @ q) for r in item_matrix])
+            raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
+    q_scores = {qid: row_dots(item_matrix, q) for qid, q in zip(qids, q_matrix)}
+    for qid, scores in q_scores.items():
         order = np.lexsort((id_arr, -scores))
         rel = relevant.get(qid, set())
         for k in feasible:
@@ -239,11 +234,10 @@ def evaluate(
 
     auc = None
     item_row = {iid: i for i, iid in enumerate(item_ids)}
-    labeled = []
-    for p in corpus.pairs:
-        if p.relevance in (0.0, 1.0) and p.item_id in item_row:
-            score = float(q_emb[p.query_id] @ item_matrix[item_row[p.item_id]])
-            labeled.append((score, int(p.relevance)))
+    labeled = [
+        (float(q_scores[p.query_id][item_row[p.item_id]]), int(p.relevance))
+        for p in corpus.pairs if p.relevance in (0.0, 1.0) and p.item_id in item_row
+    ]
     lab = [l for _, l in labeled]
     if labeled and 0 < sum(lab) < len(lab):
         auc = auc_partial(labeled, 0.05)

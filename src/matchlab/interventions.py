@@ -15,12 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Sentence, Tokens
-from .encoder import (
-    DegenerateNormError,
-    EmbeddingModel,
-    VocabMismatchError,
-    encode,
-)
+from .encoder import EmbeddingModel, VocabMismatchError, encode, encode_batch, row_dots
 
 AMPLIFICATION_FLOOR = 1e-6
 
@@ -65,15 +60,8 @@ def importance_scores(model: EmbeddingModel, sentence: Sentence) -> list[float]:
             f"importance needs at least 2 tokens, got {len(sentence)}"
         )
     full = encode(model, sentence).embedding
-    scores: list[float] = []
-    for j in range(len(sentence)):
-        try:
-            masked = encode(model, mask_single(sentence, j)).embedding
-        except DegenerateNormError:
-            scores.append(float("nan"))
-            continue
-        scores.append(1.0 - float(full @ masked))
-    return scores
+    masked, ok = encode_batch(model, [mask_single(sentence, j) for j in range(len(sentence))])
+    return np.where(ok, 1.0 - row_dots(masked, full), np.nan).tolist()
 
 
 @dataclass

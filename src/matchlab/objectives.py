@@ -31,6 +31,8 @@ from .encoder import (
     VocabMismatchError,
     encode,
     encode_backward,
+    encode_batch,
+    row_dots,
 )
 from .interventions import InterventionError, mask_fraction
 
@@ -52,7 +54,6 @@ class RegularizerConfig:
     mask_fraction: float | None = None
     dropout_rate: float = 0.1
     itvaug_fraction: float = 1.0
-    draws_per_sentence: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in REGULARIZER_KINDS:
@@ -65,8 +66,6 @@ class RegularizerConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (0.0 <= self.itvaug_fraction <= 1.0):
             raise ValueError(f"itvaug_fraction must be in [0, 1], got {self.itvaug_fraction}")
-        if self.draws_per_sentence < 1:
-            raise ValueError("draws_per_sentence must be >= 1")
 
     @property
     def resolved_mask_fraction(self) -> float:
@@ -241,20 +240,19 @@ def build_itvaug(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(qids))
     take = int(math.floor(fraction * len(qids)))
-    pairs: list[AugmentedPair] = []
-    skipped = 0
+    masked: list[tuple[Sentence, Sentence]] = []
     for idx in order[:take]:
         sent = theta0.vocab.encode(corpus.queries[qids[idx]])
         mask_seed = int(rng.integers(np.iinfo(np.int64).max))
         try:
-            x_prime = mask_fraction(sent, mask_frac, mask_seed)
-            target = float(
-                encode(theta0, sent).embedding @ encode(theta0, x_prime).embedding
-            )
-        except (InterventionError, EncodeError):
-            skipped += 1
-            continue
-        pairs.append(AugmentedPair(sent, x_prime, target))
+            masked.append((sent, mask_fraction(sent, mask_frac, mask_seed)))
+        except InterventionError:
+            pass
+    a, a_ok = encode_batch(theta0, [x for x, _ in masked])
+    b, b_ok = encode_batch(theta0, [x_prime for _, x_prime in masked])
+    pairs = [AugmentedPair(x, x_prime, float(target))
+             for (x, x_prime), target, ok in zip(masked, row_dots(a, b), a_ok & b_ok) if ok]
+    skipped = take - len(pairs)
     if skipped:
         logger.warning(
             "build_itvaug skipped %d of %d selected queries", skipped, take
@@ -319,14 +317,11 @@ def total_loss(
         flat_index = 0
         for ex in batch.examples:
             for sent in _penalty_sentences(ex):
-                for draw in range(config.draws_per_sentence):
-                    try:
-                        terms.append(
-                            _one_penalty(theta, theta0, sent, config,
-                                         batch.seed, flat_index, draw)
-                        )
-                    except (InterventionError, EncodeError):
-                        skipped += 1
+                try:
+                    terms.append(_one_penalty(theta, theta0, sent, config,
+                                              batch.seed, flat_index))
+                except (InterventionError, EncodeError):
+                    skipped += 1
                 flat_index += 1
     elif config.kind == "itvaug":
         for ap in batch.augmented:
@@ -354,13 +349,12 @@ def _one_penalty(
     config: RegularizerConfig,
     batch_seed: int,
     index: int,
-    draw: int,
 ) -> LossValue:
     if config.kind == "outreg":
         return outreg_penalty(theta, theta0, sent)
     if config.kind in ("itvreg", "maskreg"):
         x_prime = mask_fraction(
-            sent, config.resolved_mask_fraction, intervention_seed(batch_seed, index, draw)
+            sent, config.resolved_mask_fraction, intervention_seed(batch_seed, index)
         )
         if config.kind == "itvreg":
             return itvreg_penalty(theta, theta0, sent, x_prime)
@@ -369,8 +363,8 @@ def _one_penalty(
         return simcse_penalty(
             theta,
             sent,
-            intervention_seed(batch_seed, index, 2 * draw),
-            intervention_seed(batch_seed, index, 2 * draw + 1),
+            intervention_seed(batch_seed, index, 0),
+            intervention_seed(batch_seed, index, 1),
             config.dropout_rate,
         )
     raise ValueError(f"no penalty for kind {config.kind!r}")

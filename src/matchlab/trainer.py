@@ -19,9 +19,9 @@ from .corpus import Corpus, Sentence, Vocab
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
-    EncodeError,
     VocabMismatchError,
-    encode,
+    encode_batch,
+    row_dots,
 )
 from .objectives import (
     AugmentedPair,
@@ -117,40 +117,32 @@ def mine_negatives(
     if len(batch) < 2:
         raise ValueError("in-batch mining needs at least 2 examples")
 
-    q_emb: list[np.ndarray | None] = []
-    z_emb: dict[str, np.ndarray] = {}
-    usable_items: dict[str, Sentence] = {}
-    for ex in batch:
-        try:
-            q_emb.append(encode(theta, ex.x).embedding)
-        except EncodeError:
-            q_emb.append(None)
-        if ex.item_id not in z_emb:
-            try:
-                z_emb[ex.item_id] = encode(theta, ex.z_pos).embedding
-                usable_items[ex.item_id] = ex.z_pos
-            except EncodeError:
-                pass
+    q_emb, q_ok = encode_batch(theta, [ex.x for ex in batch])
+    z_emb, z_ok = encode_batch(theta, [ex.z_pos for ex in batch])
+    item_row: dict[str, int] = {}  # each item's first encodable occurrence
+    for j, ex in enumerate(batch):
+        if z_ok[j]:
+            item_row.setdefault(ex.item_id, j)
 
     rng = np.random.default_rng(seed)
     out: list[tuple[str, Sentence] | None] = []
     for i, ex in enumerate(batch):
         rel = relevant.get(ex.query_id, frozenset())
         cands = sorted(
-            iid for iid in usable_items
+            iid for iid in item_row
             if iid != ex.item_id and iid not in rel
         )
-        if not cands or q_emb[i] is None:
+        if not cands or not q_ok[i]:
             out.append(None)
             continue
         if strategy == "in-batch-hardest":
-            sims = [float(q_emb[i] @ z_emb[c]) for c in cands]
+            sims = row_dots(z_emb[[item_row[c] for c in cands]], q_emb[i])
             # cands are id-sorted and argmax keeps the first maximum, so ties
             # go to the smallest id
             pick = cands[int(np.argmax(sims))]
         else:
             pick = cands[int(rng.integers(len(cands)))]
-        out.append((pick, usable_items[pick]))
+        out.append((pick, batch[item_row[pick]].z_pos))
     return out
 
 

@@ -149,7 +149,7 @@ def _categorized_corpus():
 class TestSplitByCategory:
     def test_holdout_goes_to_ood(self):
         corpus = _categorized_corpus()
-        spec = SplitSpec(kind="category-holdout", holdout=("B",), seed=0)
+        spec = SplitSpec(holdout=("B",), seed=0)
         train, iid, ood = split_by_category(corpus, spec)
         assert set(ood.queries) == {f"q{i}" for i in range(6, 10)}
         assert set(train.queries) | set(iid.queries) == {f"q{i}" for i in range(6)}
@@ -159,26 +159,26 @@ class TestSplitByCategory:
 
     def test_unknown_category_named(self):
         corpus = _categorized_corpus()
-        spec = SplitSpec(kind="category-holdout", holdout=("C",), seed=0)
+        spec = SplitSpec(holdout=("C",), seed=0)
         with pytest.raises(CorpusError, match="'C'"):
             split_by_category(corpus, spec)
 
     def test_holding_out_everything_is_an_error(self):
         corpus = _categorized_corpus()
-        spec = SplitSpec(kind="category-holdout", holdout=("A", "B"), seed=0)
+        spec = SplitSpec(holdout=("A", "B"), seed=0)
         with pytest.raises(CorpusError, match="empty"):
             split_by_category(corpus, spec)
 
     def test_missing_labels_rejected(self):
         corpus = _categorized_corpus()
         corpus.query_categories.pop("q3")
-        spec = SplitSpec(kind="category-holdout", holdout=("B",), seed=0)
+        spec = SplitSpec(holdout=("B",), seed=0)
         with pytest.raises(CorpusError, match="q3"):
             split_by_category(corpus, spec)
 
     def test_seeded_and_deterministic(self):
         corpus = _categorized_corpus()
-        spec = SplitSpec(kind="category-holdout", holdout=("B",), seed=7)
+        spec = SplitSpec(holdout=("B",), seed=7)
         first = split_by_category(corpus, spec)
         second = split_by_category(corpus, spec)
         assert first == second

@@ -13,8 +13,10 @@ from matchlab import (
     VocabMismatchError,
     encode,
     encode_backward,
+    encode_batch,
     init_model,
     relevance,
+    row_dots,
 )
 
 from conftest import fd_gradient, grad_rel_error, make_vocab, model_from_rows, random_model
@@ -115,6 +117,31 @@ class TestEncode:
             assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
             assert relevance(model, b, a) == pytest.approx(r, abs=1e-15)
             assert relevance(model, a, a) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestEncodeBatch:
+    def test_failing_rows_are_flagged_and_zero(self):
+        model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        v = model.vocab_size
+        # empty, negative id, the vocabulary size itself, past it, cancelling
+        sentences = [(), (3, -1), (3, v), (v + 1,), (1, 2), (3, 1)]
+        emb, ok = encode_batch(model, sentences)
+        assert ok.tolist() == [False, False, False, False, False, True]
+        assert not emb[:5].any()
+
+    def test_no_sentences(self):
+        emb, ok = encode_batch(random_model(3, 4, np.random.default_rng(0)), [])
+        assert emb.shape == (0, 4) and ok.shape == (0,)
+
+    def test_duplicate_rows_tie_exactly(self):
+        model = random_model(40, 32, np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        sentences = [tuple(int(i) for i in rng.integers(1, 41, size=6)) for _ in range(200)]
+        emb, _ = encode_batch(model, sentences + sentences[::-1])
+        for q in emb[:5]:
+            scores = row_dots(emb, q)
+            assert np.array_equal(scores[:200], scores[200:][::-1])
+            assert scores.tobytes() == np.array([float(r @ q) for r in emb]).tobytes()
 
 
 class TestEncodeBackward:

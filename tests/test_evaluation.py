@@ -347,6 +347,17 @@ class TestSweep:
         assert sizes[0] < sizes[1] < sizes[2]
         assert out[0.5].split == "mix-0.5"
 
+    def test_shared_item_pool_shifts_the_mixture(self):
+        # The synthetic eval splits share one item set; the sweep must still
+        # mix in pool queries as the fraction grows.
+        train, iid, ood = synth_generate(12, 4, 42, 48, seed=0)
+        from matchlab import build_vocab
+        model = init_model(build_vocab(train), dim=8, seed=0)
+        out = sweep_interpolation(model, iid, ood, (0.0, 0.5, 1.0), seed=0,
+                                  ks=(1,), n_bins=1)
+        n_queries = [out[f].n_queries for f in (0.0, 0.5, 1.0)]
+        assert n_queries[0] < n_queries[1] < n_queries[2]
+
     def test_empty_fractions_rejected(self):
         train, iid, _ = synth_generate(4, 2, 3, 4, seed=0)
         from matchlab import build_vocab

@@ -253,8 +253,6 @@ class TestRegularizerConfig:
             RegularizerConfig(mask_fraction=1.0)
         with pytest.raises(ValueError):
             RegularizerConfig(dropout_rate=1.0)
-        with pytest.raises(ValueError):
-            RegularizerConfig(draws_per_sentence=0)
 
 
 class TestBuildItvaug:
