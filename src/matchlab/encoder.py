@@ -10,8 +10,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -145,34 +144,80 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], np.asarray(b)[..., None])[:, 0, 0]
 
 
+@dataclass
+class BatchEncodeResult:
+    """One batched forward: the unit rows (zero where ``ok`` is False) and what
+    the backward replays, the views, their pre-normalization norms and, with
+    dropout, the keep mask of occurrence j of sentence i at ``keep[i, j]``
+    (all True for a plain view)."""
+
+    embeddings: np.ndarray
+    ok: np.ndarray
+    norms: np.ndarray
+    sentences: Sequence[Sequence[int]]
+    rates: Sequence[float]
+    keep: np.ndarray | None
+
+
 def encode_batch(
-    model: EmbeddingModel, sentences: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The read path's forward: ``(embeddings, ok)``, row i bit-identical to
-    ``encode(model, sentences[i]).embedding``. Where ``encode`` would raise
-    (empty sentence, id outside the vocabulary, degenerate norm), ``ok[i]`` is
-    False and row i is zero."""
+    model: EmbeddingModel,
+    sentences: Sequence[Sequence[int]],
+    rates: Sequence[float] | None = None,
+    seeds: Sequence[int] | None = None,
+) -> BatchEncodeResult:
+    """The batched forward: row i bit-identical to
+    ``encode(model, sentences[i], rates[i], seeds[i]).embedding`` (rates
+    default to 0). Where ``encode`` would raise (empty sentence, id outside the
+    vocabulary, degenerate norm), ``ok[i]`` is False and row i is zero."""
     n, (v, d) = len(sentences), model.table.shape
-    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=n)
-    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.intp,
-                       count=int(lengths.sum()))
-    row = np.repeat(np.arange(n), lengths)
-    bad_id = (flat < 0) | (flat >= v)
-    ok = lengths > 0
-    ok[row[bad_id]] = False
-    flat[bad_id] = 0
-    # Each row's ids in ascending order, then zero padding: every row sums in
-    # the order encode uses, and adding zeros changes no bit.
-    order = np.lexsort((flat, row))
-    col = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    gathered = np.zeros((n, int(lengths.max(initial=0)), d))
-    gathered[row, col] = model.table[flat[order]]
-    sums = gathered.sum(axis=1)
+    if rates is None:
+        rates = [0.0] * n
+    elif not all(0.0 <= r < 1.0 for r in rates):
+        raise EncodeError(f"dropout rates must be in [0, 1), got {rates}")
+    lengths = [len(s) for s in sentences]
+    width = max(lengths, default=0)
+    # Row i holds a plain view's ids ascending, the order encode sums in, and
+    # a dropout view's in sentence order, which its keep mask follows.
+    ids = np.array([(list(s) if r else sorted(s)) + [0] * (width - k)
+                    for s, r, k in zip(sentences, rates, lengths)],
+                   dtype=np.intp).reshape(n, width)
+    ok = np.array(lengths) > 0
+    if ids.size and ids.view(np.uintp).max() >= v:  # a negative id wraps past v
+        bad_id = ids.view(np.uintp) >= v
+        ok &= ~bad_id.any(axis=1)
+        ids[bad_id] = 0
+    vectors = model.table[ids]
+    keep = None
+    if any(rates):
+        keep = np.ones(vectors.shape, dtype=bool)
+        for i in (i for i, r in enumerate(rates) if r):
+            keep[i, :len(sentences[i])] = (np.random.default_rng(seeds[i])
+                                           .random((len(sentences[i]), d)) >= rates[i])
+        vectors = vectors * keep
+    if min(lengths, default=width) == width:
+        sums = vectors.sum(axis=1)
+    else:  # a row's padding is left out; its sum starts at -0.0, which changes no bit
+        real = np.arange(width) < np.array(lengths)[:, None]
+        sums = vectors.sum(axis=1, where=real[..., None], initial=-0.0)
+    if keep is not None:
+        sums = sums / (1.0 - np.array(rates))[:, None]
     norms = np.sqrt(row_dots(sums, sums))
-    ok &= norms > NORM_EPS
-    emb = np.zeros((n, d))
-    emb[ok] = sums[ok] / norms[ok, None]
-    return emb, ok
+    ok[norms <= NORM_EPS] = False  # a non-finite sum encodes, as in encode
+    emb = np.divide(sums, norms[:, None], out=np.zeros((n, d)), where=ok[:, None])
+    return BatchEncodeResult(emb, ok, norms, sentences, rates, keep)
+
+
+def sum_rows(keys: Iterable[Hashable], values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The rows of ``values`` summed per key, keys in order of first
+    appearance. A key's rows are added in the order they come, onto -0.0, so
+    a key with one row keeps it bit for bit."""
+    index: dict = {}
+    slot = [index.setdefault(key, len(index)) for key in keys]
+    if len(index) < len(slot):
+        out = np.full((len(index), values.shape[1]), -0.0)
+        np.add.at(out, slot, values)
+        values = out
+    return list(index), values
 
 
 def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:
@@ -200,3 +245,36 @@ def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.
         contrib = keep * g / (1.0 - result.rate)
         grads[tok] = grads[tok] + contrib if tok in grads else contrib
     return grads
+
+
+def encode_batch_backward(
+    result: BatchEncodeResult, rows: np.ndarray, upstream: np.ndarray
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Per use i, the gradient of ``upstream[i]`` dotted with embedding row
+    ``rows[i]``: (use, token id) keys in use order and their gradient rows.
+    Use i's rows are ``encode_backward`` of its view, byte for byte: a plain
+    view's id gets its count times the projected vector, a dropout view's id
+    the masked vectors of its occurrences, added in order."""
+    u = result.embeddings[rows]
+    g = (upstream - u * row_dots(u, upstream)[:, None]) / result.norms[rows, None]
+    if not rows.size:
+        return [], g
+    entries_of: dict[int, list] = {}  # (id, count, occurrence) of a view
+    entries = []  # (use, view row, id, count, occurrence)
+    for i, r in enumerate(rows.tolist()):
+        if r not in entries_of:
+            sentence = result.sentences[r]
+            if result.rates[r]:
+                entries_of[r] = [(tok, 1, j) for j, tok in enumerate(sentence)]
+            else:
+                counts = dict.fromkeys(sorted(sentence), 0)
+                for tok in sentence:
+                    counts[tok] += 1
+                entries_of[r] = [(tok, n, 0) for tok, n in counts.items()]
+        entries += [(i, r, tok, n, j) for tok, n, j in entries_of[r]]
+    use, row, tok, count, occurrence = zip(*entries)
+    contrib = g.repeat([len(entries_of[r]) for r in rows.tolist()], axis=0)
+    if result.keep is not None:
+        scale = 1.0 - np.array(result.rates)[list(row)]
+        contrib = result.keep[row, occurrence] * contrib / scale[:, None]
+    return sum_rows(zip(use, tok), np.array(count)[:, None] * contrib)

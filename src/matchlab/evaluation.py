@@ -34,10 +34,10 @@ def _encode_items(
     """(encodable ids, excluded ids, the encodable items' embedding rows),
     ids ascending."""
     all_ids = sorted(items)
-    emb, ok = encode_batch(theta, [items[iid] for iid in all_ids])
-    ids = [iid for iid, good in zip(all_ids, ok) if good]
-    excluded = [iid for iid, good in zip(all_ids, ok) if not good]
-    return ids, excluded, emb[ok]
+    enc = encode_batch(theta, [items[iid] for iid in all_ids])
+    ids = [iid for iid, good in zip(all_ids, enc.ok) if good]
+    excluded = [iid for iid, good in zip(all_ids, enc.ok) if not good]
+    return ids, excluded, enc.embeddings[enc.ok]
 
 
 def rank_items(
@@ -202,14 +202,14 @@ def evaluate(
 
     qids = sorted(corpus.queries)
     q_sents = [vocab.encode(corpus.queries[qid]) for qid in qids]
-    q_matrix, q_ok = encode_batch(theta, q_sents)
-    if not q_ok.all():
-        i = int(np.argmin(q_ok))  # the first query that fails
+    q = encode_batch(theta, q_sents)
+    if not q.ok.all():
+        i = int(np.argmin(q.ok))  # the first query that fails
         try:
             encode(theta, q_sents[i])
         except EncodeError as exc:
             raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
-    q_scores = {qid: row_dots(item_matrix, q) for qid, q in zip(qids, q_matrix)}
+    q_scores = {qid: row_dots(item_matrix, row) for qid, row in zip(qids, q.embeddings)}
     for qid, scores in q_scores.items():
         order = np.lexsort((id_arr, -scores))
         rel = relevant.get(qid, set())

@@ -60,8 +60,8 @@ def importance_scores(model: EmbeddingModel, sentence: Sentence) -> list[float]:
             f"importance needs at least 2 tokens, got {len(sentence)}"
         )
     full = encode(model, sentence).embedding
-    masked, ok = encode_batch(model, [mask_single(sentence, j) for j in range(len(sentence))])
-    return np.where(ok, 1.0 - row_dots(masked, full), np.nan).tolist()
+    masked = encode_batch(model, [mask_single(sentence, j) for j in range(len(sentence))])
+    return np.where(masked.ok, 1.0 - row_dots(masked.embeddings, full), np.nan).tolist()
 
 
 @dataclass

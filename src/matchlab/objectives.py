@@ -7,18 +7,24 @@ Penalty menu (theta0 is the frozen base model, X' an intervened view of X):
 - itvreg:  ( f_theta(X)^T f_theta(X') - f_theta0(X)^T f_theta0(X') )^2,
            anchoring the *response to interventions* rather than the output.
 - itvaug:  itvreg rewritten as data augmentation: precomputed pairs
-           (X, X', R' = f_theta0(X)^T f_theta0(X')) fed through mse_loss.
+           (X, X', R' = f_theta0(X)^T f_theta0(X')), each a residual term
+           with the fixed target R'.
 - maskreg: ( f_theta(X)^T f_theta(X') - 1 )^2, invariance to masking with no
            base anchor.
 - simcse:  ( f_theta(X, s)^T f_theta(X, s') - 1 )^2 over two dropout views.
+
+Every objective is a term under one of three rules, hinge, residual
+(cos(a, b) - target)^2 and outreg, and one batched kernel evaluates all terms
+of a loss: it encodes each distinct view once and runs one backward.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import compress
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,13 +32,12 @@ from .corpus import Corpus, Sentence
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
-    EncodeError,
-    EncodeResult,
     VocabMismatchError,
     encode,
-    encode_backward,
     encode_batch,
+    encode_batch_backward,
     row_dots,
+    sum_rows,
 )
 from .interventions import InterventionError, mask_fraction
 
@@ -58,8 +63,8 @@ class RegularizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in REGULARIZER_KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.lam < 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.mask_fraction is not None and not (0.0 < self.mask_fraction < 1.0):
             raise ValueError(f"mask_fraction must be in (0, 1), got {self.mask_fraction}")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -78,17 +83,26 @@ class RegularizerConfig:
 class LossValue:
     """A loss evaluation with its sparse gradient (token id -> d-vector).
 
-    Standalone ops report their own value as total (weight 1); total_loss
-    composes total = erm + lambda * penalty.
+    Standalone ops report their own value as total (weight 1) and pass the
+    gradient as a function of the forward they already ran, called on the
+    first read of ``gradient``: a caller that needs only the value, such as a
+    finite-difference check, skips the backward. total_loss composes total =
+    erm + lambda * penalty and computes its gradient at once.
     """
 
     erm: float
     penalty: float
     total: float
-    gradient: dict[int, np.ndarray]
+    _gradient: dict[int, np.ndarray] | Callable[[], dict[int, np.ndarray]]
     n_penalty_terms: int = 0
     n_skipped_penalty: int = 0
     n_skipped_examples: int = 0
+
+    @property
+    def gradient(self) -> dict[int, np.ndarray]:
+        if callable(self._gradient):
+            self._gradient = self._gradient()
+        return self._gradient
 
 
 @dataclass(frozen=True)
@@ -125,42 +139,147 @@ class Batch:
     augmented: list[AugmentedPair] = field(default_factory=list)
 
 
-def _accumulate(dst: dict[int, np.ndarray], src: Mapping[int, np.ndarray],
-                scale: float = 1.0) -> None:
-    for tok, g in src.items():
-        if tok in dst:
-            dst[tok] = dst[tok] + scale * g
+class _Term(NamedTuple):
+    """One objective term: its rule, theta views as (sentence, rate, seed) in
+    the order their gradients add, frozen-base sentences and a target. hinge:
+    views (x, z-, z+); residual: views (a, b) against ``target`` or, with two
+    anchors, against their base cosine; outreg: view x against anchor x."""
+
+    rule: str
+    views: tuple
+    anchors: tuple = ()
+    target: float = 0.0
+
+
+def _view(sentence: Sentence, rate: float = 0.0, seed: int = 0) -> tuple:
+    return tuple(sentence), rate, seed if rate else 0
+
+
+def _kernel(
+    theta: EmbeddingModel,
+    theta0: EmbeddingModel | None,
+    fits: list[_Term],
+    penalties: list[_Term],
+    lam: float,
+    skipped: int = 0,
+) -> LossValue:
+    """Mean of the fitting terms plus lam times the mean of the penalty terms,
+    encoding each distinct view once per model and running one backward.
+
+    A term with a view that does not encode is dropped: a penalty term is
+    counted as skipped, a fitting term only when its views are degenerate (an
+    empty sentence or a bad id raises), and DegenerateNormError is raised when
+    no fitting term remains. The gradient adds each term's views in order,
+    weights the term, then adds the terms in order."""
+    terms = fits + penalties
+    views: dict[tuple, int] = {}
+    anchors: dict[tuple, int] = {}
+    rows = [[views.setdefault(v, len(views)) for v in t.views] for t in terms]
+    bases = [[anchors.setdefault(a, len(anchors)) for a in t.anchors] for t in terms]
+    enc = encode_batch(theta, *zip(*views))
+    good = enc.ok.tolist()
+    ok = [all(map(good.__getitem__, term_rows)) for term_rows in rows]
+    if anchors:
+        if theta.vocab is not theta0.vocab and theta.vocab != theta0.vocab:
+            raise VocabMismatchError("theta and theta0 must share a vocabulary")
+        enc0 = encode_batch(theta0, list(anchors))
+        good = enc0.ok.tolist()
+        ok = [k and all(map(good.__getitem__, term_bases)) for k, term_bases in zip(ok, bases)]
+    for t in (t for t, k in zip(fits, ok) if not k):
+        for sentence in (*(v[0] for v in t.views), *t.anchors):
+            try:
+                encode(theta, sentence)  # raises unless the view is degenerate
+            except DegenerateNormError:
+                pass
+    n_fit, n_pen = sum(ok[:len(fits)]), sum(ok[len(fits):])
+    if not n_fit:
+        raise DegenerateNormError("every example of the batch has a degenerate view")
+
+    values = [0.0] * len(terms)
+    uses, upstreams = [], []  # (term, view row) of each use; their upstream rows
+    for rule in dict.fromkeys(t.rule for t in terms):
+        idx = [i for i, t in enumerate(terms) if ok[i] and t.rule == rule]
+        if not idx:
+            continue
+        v = enc.embeddings[[rows[i] for i in idx]]
+        a = v[:, 0]
+        if rule == "hinge":
+            val = (1.0 + row_dots(a, v[:, 1]) - row_dots(a, v[:, 2])).tolist()
+            on = [not x <= 0.0 for x in val]  # a NaN hinge stays on
+            if not all(on):
+                idx, val = [i for i, k in zip(idx, on) if k], [x for x, k in zip(val, on) if k]
+                if not idx:
+                    continue
+                v, a = v[on], a[on]
+            upstream = np.concatenate((v[:, 1] - v[:, 2], a, -a), axis=1)
+        elif rule == "residual":
+            target = np.array([terms[i].target for i in idx])
+            based = [j for j, i in enumerate(idx) if bases[i]]
+            if based:
+                ref = enc0.embeddings[[bases[idx[j]] for j in based]]
+                target[based] = row_dots(ref[:, 0], ref[:, 1])
+            resid = row_dots(a, v[:, 1]) - target
+            val = (resid * resid).tolist()
+            upstream = (2.0 * resid)[:, None, None] * v[:, ::-1]
         else:
-            dst[tok] = scale * g
+            diff = a - enc0.embeddings[[bases[i][0] for i in idx]]
+            val = row_dots(diff, diff).tolist()
+            upstream = 2.0 * diff
+        for i, x in zip(idx, val):
+            values[i] = x
+        uses += [(i, r) for i in idx for r in rows[i]]
+        upstreams.append(upstream.reshape(-1, theta.dim))
+
+    erm = sum(compress(values[:len(fits)], ok)) / n_fit
+    penalty = sum(compress(values[len(fits):], ok[len(fits):])) / n_pen if n_pen else 0.0
+
+    def gradient() -> dict[int, np.ndarray]:
+        if not uses:
+            return {}
+        order = sorted(range(len(uses)), key=lambda u: uses[u][0])  # back from rule groups
+        keys, grads = encode_batch_backward(enc, np.array([uses[u][1] for u in order]),
+                                            np.concatenate(upstreams)[order])
+        keys, grads = sum_rows([(uses[order[u]][0], tok) for u, tok in keys], grads)
+        weight = [1.0 / n_fit if t < len(fits) else lam / n_pen for t, _ in keys]
+        toks, grads = sum_rows([tok for _, tok in keys], np.array(weight)[:, None] * grads)
+        return dict(zip(toks, grads))
+
+    return LossValue(erm, penalty, erm + lam * penalty, gradient, n_penalty_terms=n_pen,
+                     n_skipped_penalty=skipped + len(penalties) - n_pen,
+                     n_skipped_examples=len(fits) - n_fit)
 
 
-def _cosine_residual(a: EncodeResult, b: EncodeResult, target: float) -> LossValue:
-    """(a^T b - target)^2 with its gradient through both views, reported as a
-    penalty; every squared-cosine objective is a (view pair, target) rule on
-    top of this kernel."""
-    resid = float(a.embedding @ b.embedding) - target
-    value = resid * resid
-    grad: dict[int, np.ndarray] = {}
-    _accumulate(grad, encode_backward(a, 2.0 * resid * b.embedding))
-    _accumulate(grad, encode_backward(b, 2.0 * resid * a.embedding))
-    return LossValue(0.0, value, value, grad)
+def _fit_term(example) -> _Term:
+    if isinstance(example, ContrastiveExample):
+        return _Term("hinge", (_view(example.x), _view(example.z_neg), _view(example.z_pos)))
+    if isinstance(example, ScoredExample):
+        if not (-1.0 - 1e-9 <= example.relevance <= 1.0 + 1e-9):
+            raise ValueError(f"target {example.relevance} outside [-1, 1]")
+        return _Term("residual", (_view(example.x), _view(example.z)), target=example.relevance)
+    raise TypeError(f"unsupported example type {type(example).__name__}")
+
+
+def _penalty_term(kind: str, x: Sentence, x_prime: Sentence = (), seeds: tuple = (0, 0),
+                  rate: float = 0.0) -> _Term:
+    if kind == "outreg":
+        return _Term("outreg", (_view(x),), (tuple(x),))
+    if kind == "simcse":
+        return _Term("residual", (_view(x, rate, seeds[0]), _view(x, rate, seeds[1])), target=1.0)
+    anchors = (tuple(x), tuple(x_prime)) if kind == "itvreg" else ()
+    return _Term("residual", (_view(x), _view(x_prime)), anchors, target=1.0)
+
+
+def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, term: _Term) -> LossValue:
+    # One penalty term reported as a penalty of weight 1; a bad view raises.
+    lv = _kernel(theta, theta0, [term], [], 0.0)
+    return LossValue(0.0, lv.erm, lv.total, lv._gradient)
 
 
 def contrastive_loss(
     theta: EmbeddingModel, x: Sentence, z_pos: Sentence, z_neg: Sentence
 ) -> LossValue:
     """Hinge max(0, 1 + f(X)^T f(Z-) - f(X)^T f(Z+)); subgradient 0 at the kink."""
-    a = encode(theta, x)
-    p = encode(theta, z_pos)
-    n = encode(theta, z_neg)
-    value = 1.0 + float(a.embedding @ n.embedding) - float(a.embedding @ p.embedding)
-    if value <= 0.0:
-        return LossValue(0.0, 0.0, 0.0, {})
-    grad: dict[int, np.ndarray] = {}
-    _accumulate(grad, encode_backward(a, n.embedding - p.embedding))
-    _accumulate(grad, encode_backward(n, a.embedding))
-    _accumulate(grad, encode_backward(p, -a.embedding))
-    return LossValue(value, 0.0, value, grad)
+    return _kernel(theta, None, [_fit_term(ContrastiveExample(x, z_pos, z_neg))], [], 0.0)
 
 
 def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> LossValue:
@@ -169,24 +288,12 @@ def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> 
     Targets may lie anywhere in [-1, 1]: corpus relevance grades use [0, 1],
     augmented-pair targets are base-model cosines.
     """
-    if not (-1.0 - 1e-9 <= target <= 1.0 + 1e-9):
-        raise ValueError(f"target {target} outside [-1, 1]")
-    lv = _cosine_residual(encode(theta, x), encode(theta, z), target)
-    return LossValue(lv.total, 0.0, lv.total, lv.gradient)
-
-
-def _require_shared_vocab(theta: EmbeddingModel, theta0: EmbeddingModel) -> None:
-    if theta.vocab is not theta0.vocab and theta.vocab != theta0.vocab:
-        raise VocabMismatchError("theta and theta0 must share a vocabulary")
+    return _kernel(theta, None, [_fit_term(ScoredExample(x, z, target))], [], 0.0)
 
 
 def outreg_penalty(theta: EmbeddingModel, theta0: EmbeddingModel, x: Sentence) -> LossValue:
     """|| f_theta(X) - f_theta0(X) ||^2; in [0, 4] for unit outputs."""
-    _require_shared_vocab(theta, theta0)
-    a = encode(theta, x)
-    diff = a.embedding - encode(theta0, x).embedding
-    value = float(diff @ diff)
-    return LossValue(0.0, value, value, encode_backward(a, 2.0 * diff))
+    return _alone(theta, theta0, _penalty_term("outreg", x))
 
 
 def itvreg_penalty(
@@ -194,23 +301,19 @@ def itvreg_penalty(
 ) -> LossValue:
     """Squared gap between theta's and theta0's similarity drop under the
     same intervention; zero whenever theta tracks the base model's response."""
-    _require_shared_vocab(theta, theta0)
-    a = encode(theta, x)
-    b = encode(theta, x_prime)
-    ref = float(encode(theta0, x).embedding @ encode(theta0, x_prime).embedding)
-    return _cosine_residual(a, b, ref)
+    return _alone(theta, theta0, _penalty_term("itvreg", x, x_prime))
 
 
 def maskreg_penalty(theta: EmbeddingModel, x: Sentence, x_prime: Sentence) -> LossValue:
     """(f(X)^T f(X') - 1)^2: push masked views to look identical."""
-    return _cosine_residual(encode(theta, x), encode(theta, x_prime), 1.0)
+    return _alone(theta, None, _penalty_term("maskreg", x, x_prime))
 
 
 def simcse_penalty(
     theta: EmbeddingModel, x: Sentence, seed_a: int, seed_b: int, rate: float
 ) -> LossValue:
     """(f(X, s)^T f(X, s') - 1)^2 over two dropout views of the same sentence."""
-    return _cosine_residual(encode(theta, x, rate, seed_a), encode(theta, x, rate, seed_b), 1.0)
+    return _alone(theta, None, _penalty_term("simcse", x, seeds=(seed_a, seed_b), rate=rate))
 
 
 def intervention_seed(batch_seed: int, index: int, draw: int = 0) -> int:
@@ -248,25 +351,16 @@ def build_itvaug(
             masked.append((sent, mask_fraction(sent, mask_frac, mask_seed)))
         except InterventionError:
             pass
-    a, a_ok = encode_batch(theta0, [x for x, _ in masked])
-    b, b_ok = encode_batch(theta0, [x_prime for _, x_prime in masked])
-    pairs = [AugmentedPair(x, x_prime, float(target))
-             for (x, x_prime), target, ok in zip(masked, row_dots(a, b), a_ok & b_ok) if ok]
+    a = encode_batch(theta0, [x for x, _ in masked])
+    b = encode_batch(theta0, [x_prime for _, x_prime in masked])
+    pairs = [AugmentedPair(x, x_prime, float(target)) for (x, x_prime), target, ok
+             in zip(masked, row_dots(a.embeddings, b.embeddings), a.ok & b.ok) if ok]
     skipped = take - len(pairs)
     if skipped:
         logger.warning(
             "build_itvaug skipped %d of %d selected queries", skipped, take
         )
     return pairs
-
-
-def _penalty_sentences(example) -> tuple[Sentence, ...]:
-    # Penalties see queries and items alike.
-    if isinstance(example, ContrastiveExample):
-        return (example.x, example.z_pos)
-    if isinstance(example, ScoredExample):
-        return (example.x, example.z)
-    raise TypeError(f"unsupported example type {type(example).__name__}")
 
 
 def total_loss(
@@ -290,81 +384,31 @@ def total_loss(
     if config.kind in ("outreg", "itvreg") and theta0 is None:
         raise ValueError(f"{config.kind} requires a base model")
 
-    fits: list[LossValue] = []
-    for ex in batch.examples:
-        try:
-            if isinstance(ex, ContrastiveExample):
-                fits.append(contrastive_loss(theta, ex.x, ex.z_pos, ex.z_neg))
-            elif isinstance(ex, ScoredExample):
-                fits.append(mse_loss(theta, ex.x, ex.z, ex.relevance))
-            else:
-                raise TypeError(f"unsupported example type {type(ex).__name__}")
-        except DegenerateNormError:
-            pass
-    if not fits:
-        raise DegenerateNormError("every example of the batch has a degenerate view")
-    n = len(fits)
-    erm_sum = 0.0
-    gradient: dict[int, np.ndarray] = {}
-    for lv in fits:
-        erm_sum += lv.total
-        _accumulate(gradient, lv.gradient, 1.0 / n)
-    erm = erm_sum / n
-
-    terms: list[LossValue] = []
+    fits = [_fit_term(ex) for ex in batch.examples]
+    penalties: list[_Term] = []
     skipped = 0
-    if config.kind in ("outreg", "itvreg", "maskreg", "simcse"):
-        flat_index = 0
-        for ex in batch.examples:
-            for sent in _penalty_sentences(ex):
+    if config.kind == "itvaug":
+        penalties = [_Term("residual", (_view(ap.x), _view(ap.x_prime)), target=ap.target)
+                     for ap in batch.augmented]
+    elif config.kind != "none":
+        # Penalties see queries and items alike.
+        sentences = [s for ex in batch.examples for s in
+                     (ex.x, ex.z_pos if isinstance(ex, ContrastiveExample) else ex.z)]
+        for index, x in enumerate(sentences):
+            if config.kind == "simcse":
+                seeds = (intervention_seed(batch.seed, index, 0),
+                         intervention_seed(batch.seed, index, 1))
+                penalties.append(_penalty_term("simcse", x, seeds=seeds,
+                                               rate=config.dropout_rate))
+            elif config.kind == "outreg":
+                penalties.append(_penalty_term("outreg", x))
+            else:
                 try:
-                    terms.append(_one_penalty(theta, theta0, sent, config,
-                                              batch.seed, flat_index))
-                except (InterventionError, EncodeError):
+                    x_prime = mask_fraction(x, config.resolved_mask_fraction,
+                                            intervention_seed(batch.seed, index))
+                except InterventionError:
                     skipped += 1
-                flat_index += 1
-    elif config.kind == "itvaug":
-        for ap in batch.augmented:
-            try:
-                terms.append(mse_loss(theta, ap.x, ap.x_prime, ap.target))
-            except EncodeError:
-                skipped += 1
-
-    penalty = 0.0
-    if terms:
-        penalty = sum(t.total for t in terms) / len(terms)
-        for t in terms:
-            _accumulate(gradient, t.gradient, config.lam / len(terms))
-
-    total = erm + config.lam * penalty
-    return LossValue(erm, penalty, total, gradient, n_penalty_terms=len(terms),
-                     n_skipped_penalty=skipped,
-                     n_skipped_examples=len(batch.examples) - n)
-
-
-def _one_penalty(
-    theta: EmbeddingModel,
-    theta0: EmbeddingModel | None,
-    sent: Sentence,
-    config: RegularizerConfig,
-    batch_seed: int,
-    index: int,
-) -> LossValue:
-    if config.kind == "outreg":
-        return outreg_penalty(theta, theta0, sent)
-    if config.kind in ("itvreg", "maskreg"):
-        x_prime = mask_fraction(
-            sent, config.resolved_mask_fraction, intervention_seed(batch_seed, index)
-        )
-        if config.kind == "itvreg":
-            return itvreg_penalty(theta, theta0, sent, x_prime)
-        return maskreg_penalty(theta, sent, x_prime)
-    if config.kind == "simcse":
-        return simcse_penalty(
-            theta,
-            sent,
-            intervention_seed(batch_seed, index, 0),
-            intervention_seed(batch_seed, index, 1),
-            config.dropout_rate,
-        )
-    raise ValueError(f"no penalty for kind {config.kind!r}")
+                    continue
+                penalties.append(_penalty_term(config.kind, x, x_prime))
+    lv = _kernel(theta, theta0, fits, penalties, config.lam, skipped)
+    return replace(lv, _gradient=lv.gradient)  # train steps on it at once

@@ -7,6 +7,7 @@ generator in a fixed draw order.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
@@ -72,12 +73,12 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         # lr = 0 is allowed as a no-op probe; updates become exact zeros.
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (0.0 <= self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ValueError("adam_eps must be > 0")
+        if not (0.0 < self.adam_eps < math.inf):
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
 
 @dataclass
@@ -117,11 +118,11 @@ def mine_negatives(
     if len(batch) < 2:
         raise ValueError("in-batch mining needs at least 2 examples")
 
-    q_emb, q_ok = encode_batch(theta, [ex.x for ex in batch])
-    z_emb, z_ok = encode_batch(theta, [ex.z_pos for ex in batch])
+    q = encode_batch(theta, [ex.x for ex in batch])
+    z = encode_batch(theta, [ex.z_pos for ex in batch])
     item_row: dict[str, int] = {}  # each item's first encodable occurrence
     for j, ex in enumerate(batch):
-        if z_ok[j]:
+        if z.ok[j]:
             item_row.setdefault(ex.item_id, j)
 
     rng = np.random.default_rng(seed)
@@ -132,11 +133,11 @@ def mine_negatives(
             iid for iid in item_row
             if iid != ex.item_id and iid not in rel
         )
-        if not cands or not q_ok[i]:
+        if not cands or not q.ok[i]:
             out.append(None)
             continue
         if strategy == "in-batch-hardest":
-            sims = row_dots(z_emb[[item_row[c] for c in cands]], q_emb[i])
+            sims = row_dots(z.embeddings[[item_row[c] for c in cands]], q.embeddings[i])
             # cands are id-sorted and argmax keeps the first maximum, so ties
             # go to the smallest id
             pick = cands[int(np.argmax(sims))]

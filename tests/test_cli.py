@@ -168,6 +168,17 @@ class TestErrorContract:
         ])
         assert "holdout" in err["error"]
 
+    def test_non_finite_lr_fails_before_training(self, pipeline, tmp_path):
+        root, _ = pipeline
+        out = tmp_path / "nan.ckpt"
+        err = run_fail([
+            "train", "--corpus", str(root / "data" / "train.jsonl"),
+            "--base", str(root / "base.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", str(out), "--epochs", "1", "--lr", "nan",
+        ])
+        assert "learning_rate" in err["error"]
+        assert not out.exists()
+
     def test_bad_model_spec(self, pipeline, tmp_path):
         root, _ = pipeline
         err = run_fail([

@@ -125,19 +125,21 @@ class TestEncodeBatch:
         v = model.vocab_size
         # empty, negative id, the vocabulary size itself, past it, cancelling
         sentences = [(), (3, -1), (3, v), (v + 1,), (1, 2), (3, 1)]
-        emb, ok = encode_batch(model, sentences)
+        res = encode_batch(model, sentences)
+        emb, ok = res.embeddings, res.ok
         assert ok.tolist() == [False, False, False, False, False, True]
         assert not emb[:5].any()
 
     def test_no_sentences(self):
-        emb, ok = encode_batch(random_model(3, 4, np.random.default_rng(0)), [])
+        res = encode_batch(random_model(3, 4, np.random.default_rng(0)), [])
+        emb, ok = res.embeddings, res.ok
         assert emb.shape == (0, 4) and ok.shape == (0,)
 
     def test_duplicate_rows_tie_exactly(self):
         model = random_model(40, 32, np.random.default_rng(5))
         rng = np.random.default_rng(6)
         sentences = [tuple(int(i) for i in rng.integers(1, 41, size=6)) for _ in range(200)]
-        emb, _ = encode_batch(model, sentences + sentences[::-1])
+        emb = encode_batch(model, sentences + sentences[::-1]).embeddings
         for q in emb[:5]:
             scores = row_dots(emb, q)
             assert np.array_equal(scores[:200], scores[200:][::-1])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import matchlab.encoder
+import matchlab.objectives
 from matchlab import (
     AugmentedPair,
     Batch,
@@ -254,6 +255,11 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError):
             RegularizerConfig(dropout_rate=1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            RegularizerConfig(kind="itvreg", lam=lam)
+
 
 class TestBuildItvaug:
     def _corpus(self, n=6):
@@ -313,13 +319,14 @@ def _scored_batch(n_tokens, rng, size, seed):
 
 @pytest.fixture
 def encode_calls(monkeypatch):
-    """Sentences of every forward pass, counted at every module binding of
-    encode (the package re-exports it and each module imports it by name)."""
+    """Sentences of every forward pass, counted per row of encode_batch at
+    every module binding (the package re-exports it and each module imports
+    it by name)."""
     calls = []
-    original = matchlab.encoder.encode
+    original = matchlab.encoder.encode_batch
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(args[1])
         return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -349,6 +356,46 @@ class TestOneForwardPerView:
         lv = contrastive_loss(model, (1,), (2,), (3,))
         assert lv.total == pytest.approx(2.0) and lv.gradient
         assert len(encode_calls) == 3
+
+
+def test_deferred_gradient_belongs_to_the_forward_it_came_from():
+    # a one-term call computes its gradient on first read, from its own forward
+    theta = random_model(8, 4, np.random.default_rng(0))
+    theta0 = random_model(8, 4, np.random.default_rng(1), frozen=True)
+    calls = [lambda: contrastive_loss(theta, (1, 2, 3), (4, 5), (1, 6)),
+             lambda: mse_loss(theta, (1, 2, 3), (4, 5), 0.3),
+             lambda: itvreg_penalty(theta, theta0, (1, 2, 3), (1, 3)),
+             lambda: simcse_penalty(theta, (1, 2, 2, 3), 1, 2, 0.3)]
+    for call in calls:
+        eager = call().gradient
+        deferred = call()
+        theta.table[1:4] += 0.5
+        assert deferred.gradient.keys() == eager.keys()
+        for tok, g in eager.items():
+            assert deferred.gradient[tok].tobytes() == g.tobytes()
+
+
+def test_total_loss_encodes_each_distinct_view_once_per_model(monkeypatch):
+    theta = random_model(8, 4, np.random.default_rng(0))
+    theta0 = random_model(8, 4, np.random.default_rng(1), frozen=True)
+    rows = {id(theta): [], id(theta0): []}
+    original = matchlab.encoder.encode_batch
+
+    def counting(model, sentences, *args, **kwargs):
+        rows[id(model)].extend(sentences)
+        return original(model, sentences, *args, **kwargs)
+
+    monkeypatch.setattr(matchlab.objectives, "encode_batch", counting)
+    # x1 and z1 recur across examples; each z_neg is another example's z_pos
+    x1, x2, z1, z2, z3 = (1, 2, 3), (4, 5), (6, 7, 8), (2, 6), (3, 5, 7)
+    batch = Batch([ContrastiveExample(x1, z1, z2), ContrastiveExample(x2, z2, z1),
+                   ContrastiveExample(x1, z3, z1)], seed=3)
+    total_loss(theta, theta0, batch, RegularizerConfig(kind="itvreg"))
+    sentences = [s for ex in batch.examples for s in (ex.x, ex.z_pos)]
+    masked = {mask_fraction(s, 0.5, intervention_seed(batch.seed, i))
+              for i, s in enumerate(sentences)}
+    assert sorted(rows[id(theta)]) == sorted({x1, x2, z1, z2, z3} | masked)
+    assert sorted(rows[id(theta0)]) == sorted(set(sentences) | masked)
 
 
 class TestTotalLoss:

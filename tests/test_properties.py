@@ -1,5 +1,6 @@
-"""Property tests: the batched forward against the per-sentence oracle,
-masking bounds, and partial AUC against a brute-force threshold sweep."""
+"""Property tests: the batched forward and backward against the per-sentence
+oracles, masking bounds, and partial AUC against a brute-force threshold
+sweep."""
 
 from __future__ import annotations
 
@@ -14,10 +15,12 @@ from matchlab import (  # noqa: E402
     EvalError,
     auc_partial,
     encode,
+    encode_backward,
     encode_batch,
     mask_fraction,
     row_dots,
 )
+from matchlab.encoder import encode_batch_backward  # noqa: E402
 
 from conftest import model_from_rows  # noqa: E402
 from test_evaluation import sweep_pauc  # noqa: E402
@@ -29,26 +32,32 @@ finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def model_and_sentences(draw):
+def model_and_sentences(draw, non_finite=False):
     """A model whose later rows negate earlier ones (so some sentences cancel
     to a degenerate sum) and sentences over ids from -2 to V + 2: repeats,
-    empty sentences, negative ids, the padding value V and ids past it."""
+    empty sentences, negative ids, the padding value V and ids past it. With
+    ``non_finite``, one coordinate of one row is NaN or +-inf, as in a
+    diverged table."""
     dim = draw(st.integers(2, 6))
     base = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
                          min_size=1, max_size=5))
     rows = base + [[-x for x in row] for row in base[:draw(st.integers(0, len(base)))]]
     model = model_from_rows(rows)
     v = model.vocab_size
+    if non_finite:
+        model.table[draw(st.integers(0, v - 1)), draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
     sentences = draw(st.lists(st.lists(st.integers(-2, v + 2), max_size=8).map(tuple),
                               max_size=12))
     return model, sentences
 
 
 @PROPERTY
-@given(model_and_sentences())
+@given(st.one_of(model_and_sentences(), model_and_sentences(non_finite=True)))
 def test_encode_batch_is_encode_bit_for_bit(case):
     model, sentences = case
-    emb, ok = encode_batch(model, sentences)
+    res = encode_batch(model, sentences)
+    emb, ok = res.embeddings, res.ok
     assert emb.shape == (len(sentences), model.dim)
     for row, good, sentence in zip(emb, ok, sentences):
         try:
@@ -61,11 +70,47 @@ def test_encode_batch_is_encode_bit_for_bit(case):
         assert row.tobytes() == expected.tobytes()
 
 
+@st.composite
+def views_and_uses(draw):
+    """Plain and dropout views with repeated tokens, and uses of them (a view
+    may be used more than once) with their upstream vectors."""
+    dim = draw(st.integers(2, 5))
+    model = model_from_rows(draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                                          min_size=1, max_size=4)))
+    v = model.vocab_size
+    sentences = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=8)
+                              .map(tuple), min_size=1, max_size=6))
+    rates = [draw(st.sampled_from([0.0, 0.3, 0.6])) for _ in sentences]
+    seeds = [draw(st.integers(0, 2**32)) for _ in sentences]
+    uses = draw(st.lists(st.integers(0, len(sentences) - 1), min_size=1, max_size=8))
+    upstream = np.array(draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                                      min_size=len(uses), max_size=len(uses))))
+    return model, sentences, rates, seeds, uses, upstream
+
+
+@PROPERTY
+@given(views_and_uses())
+def test_batched_backward_is_encode_backward_bit_for_bit(case):
+    model, sentences, rates, seeds, uses, upstream = case
+    result = encode_batch(model, sentences, rates, seeds)
+    used = [i for i, row in enumerate(uses) if result.ok[row]]
+    keys, grads = encode_batch_backward(result, np.array([uses[i] for i in used], dtype=np.intp),
+                                        upstream[used])
+    got: dict[int, dict[int, bytes]] = {}
+    for (k, tok), row in zip(keys, grads):
+        got.setdefault(k, {})[tok] = row.tobytes()
+    for k, i in enumerate(used):
+        row = uses[i]
+        view = encode(model, sentences[row], rates[row], seeds[row])
+        expected = encode_backward(view, upstream[i])
+        assert got[k] == {tok: g.tobytes() for tok, g in expected.items()}
+
+
 @PROPERTY
 @given(model_and_sentences())
 def test_row_dots_is_one_dot_per_row(case):
     model, sentences = case
-    emb, _ = encode_batch(model, sentences)
+    emb = encode_batch(model, sentences).embeddings
     for q in emb:
         expected = np.array([float(r @ q) for r in emb])
         assert row_dots(emb, q).tobytes() == expected.tobytes()

@@ -54,6 +54,12 @@ class TestTrainConfig:
         # mse has no mining, so batch_size 1 is fine there
         TrainConfig(loss_kind="mse", batch_size=1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_step_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestMineNegatives:
     def test_hardest_picks_highest_similarity(self):
