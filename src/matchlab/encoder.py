@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -148,8 +149,7 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class BatchEncodeResult:
     """One batched forward: the unit rows (zero where ``ok`` is False) and what
     the backward replays, the views, their pre-normalization norms and, with
-    dropout, the keep mask of occurrence j of sentence i at ``keep[i, j]``
-    (all True for a plain view)."""
+    dropout, the keep mask of occurrence j of row i at ``keep[i, j]``."""
 
     embeddings: np.ndarray
     ok: np.ndarray
@@ -176,33 +176,26 @@ def encode_batch(
         raise EncodeError(f"dropout rates must be in [0, 1), got {rates}")
     lengths = [len(s) for s in sentences]
     width = max(lengths, default=0)
-    # Row i holds a plain view's ids ascending, the order encode sums in, and
-    # a dropout view's in sentence order, which its keep mask follows.
+    # A plain row's ids ascending, the order encode sums in; a dropout row's in
+    # sentence order, which its keep mask follows.
     ids = np.array([(list(s) if r else sorted(s)) + [0] * (width - k)
-                    for s, r, k in zip(sentences, rates, lengths)],
-                   dtype=np.intp).reshape(n, width)
-    ok = np.array(lengths) > 0
-    if ids.size and ids.view(np.uintp).max() >= v:  # a negative id wraps past v
-        bad_id = ids.view(np.uintp) >= v
-        ok &= ~bad_id.any(axis=1)
-        ids[bad_id] = 0
-    vectors = model.table[ids]
+                    for s, r, k in zip(sentences, rates, lengths)], dtype=np.intp).reshape(n, width)
+    bad_id = ids.view(np.uintp) >= v  # a negative id wraps past v
+    vectors = model.table.take(ids, axis=0, mode="clip")  # a bad id's row fails below
     keep = None
     if any(rates):
         keep = np.ones(vectors.shape, dtype=bool)
         for i in (i for i, r in enumerate(rates) if r):
-            keep[i, :len(sentences[i])] = (np.random.default_rng(seeds[i])
-                                           .random((len(sentences[i]), d)) >= rates[i])
+            keep[i, :lengths[i]] = np.random.default_rng(seeds[i]).random((lengths[i], d)) >= rates[i]
         vectors = vectors * keep
-    if min(lengths, default=width) == width:
-        sums = vectors.sum(axis=1)
-    else:  # a row's padding is left out; its sum starts at -0.0, which changes no bit
-        real = np.arange(width) < np.array(lengths)[:, None]
-        sums = vectors.sum(axis=1, where=real[..., None], initial=-0.0)
+    # Padding is left out, so each row sums exactly as encode's does.
+    real = np.greater.outer(lengths, np.arange(width))
+    sums = vectors.sum(axis=1, where=real[..., None])
     if keep is not None:
         sums = sums / (1.0 - np.array(rates))[:, None]
     norms = np.sqrt(row_dots(sums, sums))
-    ok[norms <= NORM_EPS] = False  # a non-finite sum encodes, as in encode
+    # An empty or degenerate sum fails; a non-finite one encodes, as in encode.
+    ok = ~(bad_id.any(axis=1) | (norms <= NORM_EPS))
     emb = np.divide(sums, norms[:, None], out=np.zeros((n, d)), where=ok[:, None])
     return BatchEncodeResult(emb, ok, norms, sentences, rates, keep)
 
@@ -213,11 +206,11 @@ def sum_rows(keys: Iterable[Hashable], values: np.ndarray) -> tuple[list, np.nda
     a key with one row keeps it bit for bit."""
     index: dict = {}
     slot = [index.setdefault(key, len(index)) for key in keys]
-    if len(index) < len(slot):
-        out = np.full((len(index), values.shape[1]), -0.0)
-        np.add.at(out, slot, values)
-        values = out
-    return list(index), values
+    if len(index) == len(slot):
+        return list(index), values
+    out = np.full((len(index), values.shape[1]), -0.0)
+    np.add.at(out, slot, values)
+    return list(index), out
 
 
 def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:
@@ -248,33 +241,24 @@ def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.
 
 
 def encode_batch_backward(
-    result: BatchEncodeResult, rows: np.ndarray, upstream: np.ndarray
+    result: BatchEncodeResult, rows: Sequence[int], upstream: np.ndarray
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Per use i, the gradient of ``upstream[i]`` dotted with embedding row
-    ``rows[i]``: (use, token id) keys in use order and their gradient rows.
-    Use i's rows are ``encode_backward`` of its view, byte for byte: a plain
-    view's id gets its count times the projected vector, a dropout view's id
-    the masked vectors of its occurrences, added in order."""
-    u = result.embeddings[rows]
-    g = (upstream - u * row_dots(u, upstream)[:, None]) / result.norms[rows, None]
-    if not rows.size:
-        return [], g
-    entries_of: dict[int, list] = {}  # (id, count, occurrence) of a view
-    entries = []  # (use, view row, id, count, occurrence)
-    for i, r in enumerate(rows.tolist()):
-        if r not in entries_of:
-            sentence = result.sentences[r]
-            if result.rates[r]:
-                entries_of[r] = [(tok, 1, j) for j, tok in enumerate(sentence)]
-            else:
-                counts = dict.fromkeys(sorted(sentence), 0)
-                for tok in sentence:
-                    counts[tok] += 1
-                entries_of[r] = [(tok, n, 0) for tok, n in counts.items()]
-        entries += [(i, r, tok, n, j) for tok, n, j in entries_of[r]]
-    use, row, tok, count, occurrence = zip(*entries)
-    contrib = g.repeat([len(entries_of[r]) for r in rows.tolist()], axis=0)
+    ``rows[i]``: (use, token id) keys in use order and their gradient rows,
+    each use's rows ``encode_backward`` of its view, byte for byte."""
+    u = result.embeddings.take(rows, axis=0)
+    g = (upstream - u * row_dots(u, upstream)[:, None]) / result.norms.take(rows)[:, None]
+    keys, count, occurrence = [], [], []  # occurrence: (view row, position) in the keep mask
+    for i, r in enumerate(rows):
+        # A plain view's id takes its count times the row; each occurrence in
+        # a dropout view takes the row masked by its own keep row.
+        s = result.sentences[r]
+        tokens = s if result.rates[r] else sorted(set(s))
+        keys += zip(repeat(i), tokens)
+        count += [1] * len(s) if result.rates[r] else map(s.count, tokens)
+        occurrence += zip(repeat(r), range(len(tokens)))  # a plain row's keep is all True
+    grads = np.array(count)[:, None] * g.take([i for i, _ in keys], axis=0)
     if result.keep is not None:
-        scale = 1.0 - np.array(result.rates)[list(row)]
-        contrib = result.keep[row, occurrence] * contrib / scale[:, None]
-    return sum_rows(zip(use, tok), np.array(count)[:, None] * contrib)
+        row, j = np.array(occurrence, dtype=np.intp).reshape(-1, 2).T
+        grads = result.keep[row, j] * grads / (1.0 - np.array(result.rates))[row, None]
+    return sum_rows(keys, grads)

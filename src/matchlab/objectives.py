@@ -13,18 +13,20 @@ Penalty menu (theta0 is the frozen base model, X' an intervened view of X):
            base anchor.
 - simcse:  ( f_theta(X, s)^T f_theta(X, s') - 1 )^2 over two dropout views.
 
-Every objective is a term under one of three rules, hinge, residual
-(cos(a, b) - target)^2 and outreg, and one batched kernel evaluates all terms
-of a loss: it encodes each distinct view once and runs one backward.
+Every objective is a term under one of three rules, hinge, the residual
+(cos(a, b) - target)^2 (itvreg's target is the base cosine) and outreg, and
+one batched kernel evaluates all terms of a loss: it encodes each distinct
+view once and runs one backward.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import suppress
+from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,26 +85,17 @@ class RegularizerConfig:
 class LossValue:
     """A loss evaluation with its sparse gradient (token id -> d-vector).
 
-    Standalone ops report their own value as total (weight 1) and pass the
-    gradient as a function of the forward they already ran, called on the
-    first read of ``gradient``: a caller that needs only the value, such as a
-    finite-difference check, skips the backward. total_loss composes total =
-    erm + lambda * penalty and computes its gradient at once.
+    Standalone ops report their own value as total (weight 1); total_loss
+    composes total = erm + lambda * penalty.
     """
 
     erm: float
     penalty: float
     total: float
-    _gradient: dict[int, np.ndarray] | Callable[[], dict[int, np.ndarray]]
+    gradient: dict[int, np.ndarray]
     n_penalty_terms: int = 0
     n_skipped_penalty: int = 0
     n_skipped_examples: int = 0
-
-    @property
-    def gradient(self) -> dict[int, np.ndarray]:
-        if callable(self._gradient):
-            self._gradient = self._gradient()
-        return self._gradient
 
 
 @dataclass(frozen=True)
@@ -140,113 +133,113 @@ class Batch:
 
 
 class _Term(NamedTuple):
-    """One objective term: its rule, theta views as (sentence, rate, seed) in
-    the order their gradients add, frozen-base sentences and a target. hinge:
-    views (x, z-, z+); residual: views (a, b) against ``target`` or, with two
-    anchors, against their base cosine; outreg: view x against anchor x."""
+    """One term of a loss: its rule, theta views as (sentence, rate, seed) in
+    the order their gradients add, frozen-base anchors and a target. hinge:
+    views (x, z-, z+); residual: (a^T b - target)^2 over views (a, b); itvreg:
+    the residual against the base cosine of anchors (a, b); outreg: view x
+    against anchor x."""
 
     rule: str
     views: tuple
     anchors: tuple = ()
-    target: float = 0.0
+    target: float = 1.0
 
 
 def _view(sentence: Sentence, rate: float = 0.0, seed: int = 0) -> tuple:
     return tuple(sentence), rate, seed if rate else 0
 
 
+def _rule(rule: str, v: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and upstream rows of terms of one rule, from their unit rows
+    ``v``: the views, then the anchors. One upstream row per view."""
+    a, b = v[:, 0], v[:, 1]
+    if rule == "hinge":
+        up = np.concatenate((b - v[:, 2], a, -a), 1).reshape(v.shape)
+        return 1.0 + row_dots(a, b) - row_dots(a, v[:, 2]), up
+    if rule == "outreg":
+        return row_dots(a - b, a - b), 2.0 * (a - b)[:, None]
+    if rule == "itvreg":
+        target = row_dots(v[:, 2], v[:, 3])
+    resid = row_dots(a, b) - target
+    return resid * resid, (2.0 * resid)[:, None, None] * v[:, 1::-1]
+
+
 def _kernel(
     theta: EmbeddingModel,
     theta0: EmbeddingModel | None,
-    fits: list[_Term],
-    penalties: list[_Term],
+    terms: list[_Term],
+    n_fits: int,
     lam: float,
     skipped: int = 0,
 ) -> LossValue:
-    """Mean of the fitting terms plus lam times the mean of the penalty terms,
-    encoding each distinct view once per model and running one backward.
+    """The mean of the fitting terms ``terms[:n_fits]`` plus lam times the
+    mean of the penalty terms after them. Each distinct view is encoded once
+    per model and one backward runs for all terms.
 
     A term with a view that does not encode is dropped: a penalty term is
     counted as skipped, a fitting term only when its views are degenerate (an
     empty sentence or a bad id raises), and DegenerateNormError is raised when
     no fitting term remains. The gradient adds each term's views in order,
     weights the term, then adds the terms in order."""
-    terms = fits + penalties
     views: dict[tuple, int] = {}
-    anchors: dict[tuple, int] = {}
     rows = [[views.setdefault(v, len(views)) for v in t.views] for t in terms]
-    bases = [[anchors.setdefault(a, len(anchors)) for a in t.anchors] for t in terms]
+    base: dict[tuple, int] = {}  # anchor rows follow the view rows
+    rows_of = [r + [base.setdefault(a, len(views) + len(base)) for a in t.anchors]
+               for r, t in zip(rows, terms)]
     enc = encode_batch(theta, *zip(*views))
-    good = enc.ok.tolist()
-    ok = [all(map(good.__getitem__, term_rows)) for term_rows in rows]
-    if anchors:
+    emb, good = enc.embeddings, enc.ok.tolist()
+    if base:
         if theta.vocab is not theta0.vocab and theta.vocab != theta0.vocab:
             raise VocabMismatchError("theta and theta0 must share a vocabulary")
-        enc0 = encode_batch(theta0, list(anchors))
-        good = enc0.ok.tolist()
-        ok = [k and all(map(good.__getitem__, term_bases)) for k, term_bases in zip(ok, bases)]
-    for t in (t for t, k in zip(fits, ok) if not k):
-        for sentence in (*(v[0] for v in t.views), *t.anchors):
-            try:
-                encode(theta, sentence)  # raises unless the view is degenerate
-            except DegenerateNormError:
-                pass
-    n_fit, n_pen = sum(ok[:len(fits)]), sum(ok[len(fits):])
+        enc0 = encode_batch(theta0, list(base))
+        emb, good = np.concatenate((emb, enc0.embeddings)), good + enc0.ok.tolist()
+    ok = [all(map(good.__getitem__, r)) for r in rows_of]
+    for view in (v for t, k in zip(terms[:n_fits], ok) if not k for v in t.views):
+        with suppress(DegenerateNormError):
+            encode(theta, *view)  # an empty sentence or a bad id raises here
+    n_fit, n_pen = sum(ok[:n_fits]), sum(ok[n_fits:])
     if not n_fit:
         raise DegenerateNormError("every example of the batch has a degenerate view")
 
+    if len(terms) == 1:  # alone, there is nothing to group, weight or add across terms
+        (t,), (r,) = terms, rows
+        val, up = _rule(t.rule, emb.take(rows_of, axis=0), np.array([t.target]))
+        x = val.item()
+        if t.rule == "hinge" and x <= 0.0:  # the hinge's kink and below add nothing
+            return LossValue(0.0, 0.0, 0.0, {}, n_skipped_penalty=skipped)
+        keys, grads = encode_batch_backward(enc, r, up[0])
+        return LossValue(x, 0.0, x, dict(zip(*sum_rows([tok for _, tok in keys], grads))),
+                         n_skipped_penalty=skipped)
+
+    groups: dict[str, list[int]] = {}
+    for i in compress(range(len(terms)), ok):
+        groups.setdefault(terms[i].rule, []).append(i)
     values = [0.0] * len(terms)
-    uses, upstreams = [], []  # (term, view row) of each use; their upstream rows
-    for rule in dict.fromkeys(t.rule for t in terms):
-        idx = [i for i, t in enumerate(terms) if ok[i] and t.rule == rule]
-        if not idx:
-            continue
-        v = enc.embeddings[[rows[i] for i in idx]]
-        a = v[:, 0]
-        if rule == "hinge":
-            val = (1.0 + row_dots(a, v[:, 1]) - row_dots(a, v[:, 2])).tolist()
-            on = [not x <= 0.0 for x in val]  # a NaN hinge stays on
-            if not all(on):
-                idx, val = [i for i, k in zip(idx, on) if k], [x for x, k in zip(val, on) if k]
-                if not idx:
-                    continue
-                v, a = v[on], a[on]
-            upstream = np.concatenate((v[:, 1] - v[:, 2], a, -a), axis=1)
-        elif rule == "residual":
-            target = np.array([terms[i].target for i in idx])
-            based = [j for j, i in enumerate(idx) if bases[i]]
-            if based:
-                ref = enc0.embeddings[[bases[idx[j]] for j in based]]
-                target[based] = row_dots(ref[:, 0], ref[:, 1])
-            resid = row_dots(a, v[:, 1]) - target
-            val = (resid * resid).tolist()
-            upstream = (2.0 * resid)[:, None, None] * v[:, ::-1]
-        else:
-            diff = a - enc0.embeddings[[bases[i][0] for i in idx]]
-            val = row_dots(diff, diff).tolist()
-            upstream = 2.0 * diff
-        for i, x in zip(idx, val):
-            values[i] = x
-        uses += [(i, r) for i in idx for r in rows[i]]
-        upstreams.append(upstream.reshape(-1, theta.dim))
+    upstream: dict[int, np.ndarray] = {}  # a row per view of each term with a gradient
+    for rule, idx in groups.items():
+        val, up = _rule(rule, emb.take([rows_of[i] for i in idx], axis=0),
+                        np.array([terms[i].target for i in idx]))
+        for i, x, u in zip(idx, val.tolist(), up):
+            if rule != "hinge" or not x <= 0.0:  # the hinge's kink and below add nothing
+                values[i], upstream[i] = x, u
 
-    erm = sum(compress(values[:len(fits)], ok)) / n_fit
-    penalty = sum(compress(values[len(fits):], ok[len(fits):])) / n_pen if n_pen else 0.0
-
-    def gradient() -> dict[int, np.ndarray]:
-        if not uses:
-            return {}
-        order = sorted(range(len(uses)), key=lambda u: uses[u][0])  # back from rule groups
-        keys, grads = encode_batch_backward(enc, np.array([uses[u][1] for u in order]),
-                                            np.concatenate(upstreams)[order])
-        keys, grads = sum_rows([(uses[order[u]][0], tok) for u, tok in keys], grads)
-        weight = [1.0 / n_fit if t < len(fits) else lam / n_pen for t, _ in keys]
-        toks, grads = sum_rows([tok for _, tok in keys], np.array(weight)[:, None] * grads)
-        return dict(zip(toks, grads))
-
+    erm = 0.0
+    for x in compress(values, ok[:n_fits]):  # in order; sum() compensates from Python 3.12
+        erm += x
+    erm /= n_fit
+    penalty = sum(compress(values[n_fits:], ok[n_fits:])) / n_pen if n_pen else 0.0
+    gradient: dict[int, np.ndarray] = {}
+    if upstream:
+        on = sorted(upstream)
+        keys, grads = encode_batch_backward(enc, [r for i in on for r in rows[i]],
+                                            np.concatenate([upstream[i] for i in on]))
+        term = [i for i in on for _ in rows[i]]
+        keys, grads = sum_rows([(term[use], tok) for use, tok in keys], grads)
+        weight = np.array([1.0 / n_fit if i < n_fits else lam / n_pen for i, _ in keys])
+        gradient = dict(zip(*sum_rows([tok for _, tok in keys], weight[:, None] * grads)))
     return LossValue(erm, penalty, erm + lam * penalty, gradient, n_penalty_terms=n_pen,
-                     n_skipped_penalty=skipped + len(penalties) - n_pen,
-                     n_skipped_examples=len(fits) - n_fit)
+                     n_skipped_penalty=skipped + len(terms) - n_fits - n_pen,
+                     n_skipped_examples=n_fits - n_fit)
 
 
 def _fit_term(example) -> _Term:
@@ -264,22 +257,22 @@ def _penalty_term(kind: str, x: Sentence, x_prime: Sentence = (), seeds: tuple =
     if kind == "outreg":
         return _Term("outreg", (_view(x),), (tuple(x),))
     if kind == "simcse":
-        return _Term("residual", (_view(x, rate, seeds[0]), _view(x, rate, seeds[1])), target=1.0)
+        return _Term("residual", (_view(x, rate, seeds[0]), _view(x, rate, seeds[1])))
     anchors = (tuple(x), tuple(x_prime)) if kind == "itvreg" else ()
-    return _Term("residual", (_view(x), _view(x_prime)), anchors, target=1.0)
+    return _Term(kind if anchors else "residual", (_view(x), _view(x_prime)), anchors)
 
 
 def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, term: _Term) -> LossValue:
-    # One penalty term reported as a penalty of weight 1; a bad view raises.
-    lv = _kernel(theta, theta0, [term], [], 0.0)
-    return LossValue(0.0, lv.erm, lv.total, lv._gradient)
+    # One penalty term, reported as a penalty of weight 1; a bad view raises.
+    lv = _kernel(theta, theta0, [term], 1, 0.0)
+    return LossValue(0.0, lv.erm, lv.total, lv.gradient)
 
 
 def contrastive_loss(
     theta: EmbeddingModel, x: Sentence, z_pos: Sentence, z_neg: Sentence
 ) -> LossValue:
     """Hinge max(0, 1 + f(X)^T f(Z-) - f(X)^T f(Z+)); subgradient 0 at the kink."""
-    return _kernel(theta, None, [_fit_term(ContrastiveExample(x, z_pos, z_neg))], [], 0.0)
+    return _kernel(theta, None, [_fit_term(ContrastiveExample(x, z_pos, z_neg))], 1, 0.0)
 
 
 def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> LossValue:
@@ -288,7 +281,7 @@ def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> 
     Targets may lie anywhere in [-1, 1]: corpus relevance grades use [0, 1],
     augmented-pair targets are base-model cosines.
     """
-    return _kernel(theta, None, [_fit_term(ScoredExample(x, z, target))], [], 0.0)
+    return _kernel(theta, None, [_fit_term(ScoredExample(x, z, target))], 1, 0.0)
 
 
 def outreg_penalty(theta: EmbeddingModel, theta0: EmbeddingModel, x: Sentence) -> LossValue:
@@ -410,5 +403,4 @@ def total_loss(
                     skipped += 1
                     continue
                 penalties.append(_penalty_term(config.kind, x, x_prime))
-    lv = _kernel(theta, theta0, fits, penalties, config.lam, skipped)
-    return replace(lv, _gradient=lv.gradient)  # train steps on it at once
+    return _kernel(theta, theta0, fits + penalties, len(fits), config.lam, skipped)

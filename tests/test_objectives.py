@@ -17,6 +17,8 @@ from matchlab import (
     Batch,
     Corpus,
     ContrastiveExample,
+    DegenerateNormError,
+    EncodeError,
     RegularizerConfig,
     ScoredExample,
     build_itvaug,
@@ -319,21 +321,24 @@ def _scored_batch(n_tokens, rng, size, seed):
 
 @pytest.fixture
 def encode_calls(monkeypatch):
-    """Sentences of every forward pass, counted per row of encode_batch at
-    every module binding (the package re-exports it and each module imports
-    it by name)."""
+    """Sentences of every forward pass, one per encode call and one per row
+    of encode_batch, counted at every module binding of both (the package
+    re-exports them and each module imports them by name)."""
     calls = []
-    original = matchlab.encoder.encode_batch
+    originals = {matchlab.encoder.encode: calls.append,
+                 matchlab.encoder.encode_batch: calls.extend}
 
-    def counting(*args, **kwargs):
-        calls.extend(args[1])
-        return original(*args, **kwargs)
+    def counting(original, record):
+        def wrapper(*args, **kwargs):
+            record(args[1])
+            return original(*args, **kwargs)
+        return wrapper
 
     for name, mod in list(sys.modules.items()):
         if name == "matchlab" or name.startswith("matchlab."):
             for attr, obj in list(vars(mod).items()):
-                if obj is original:
-                    monkeypatch.setattr(mod, attr, counting)
+                if callable(obj) and obj in originals:
+                    monkeypatch.setattr(mod, attr, counting(obj, originals[obj]))
     return calls
 
 
@@ -356,23 +361,6 @@ class TestOneForwardPerView:
         lv = contrastive_loss(model, (1,), (2,), (3,))
         assert lv.total == pytest.approx(2.0) and lv.gradient
         assert len(encode_calls) == 3
-
-
-def test_deferred_gradient_belongs_to_the_forward_it_came_from():
-    # a one-term call computes its gradient on first read, from its own forward
-    theta = random_model(8, 4, np.random.default_rng(0))
-    theta0 = random_model(8, 4, np.random.default_rng(1), frozen=True)
-    calls = [lambda: contrastive_loss(theta, (1, 2, 3), (4, 5), (1, 6)),
-             lambda: mse_loss(theta, (1, 2, 3), (4, 5), 0.3),
-             lambda: itvreg_penalty(theta, theta0, (1, 2, 3), (1, 3)),
-             lambda: simcse_penalty(theta, (1, 2, 2, 3), 1, 2, 0.3)]
-    for call in calls:
-        eager = call().gradient
-        deferred = call()
-        theta.table[1:4] += 0.5
-        assert deferred.gradient.keys() == eager.keys()
-        for tok, g in eager.items():
-            assert deferred.gradient[tok].tobytes() == g.tobytes()
 
 
 def test_total_loss_encodes_each_distinct_view_once_per_model(monkeypatch):
@@ -472,6 +460,20 @@ class TestTotalLoss:
         assert lv.n_skipped_penalty == 1
         assert lv.n_penalty_terms == 1
         assert lv.penalty == mse_loss(model, (3, 4), (3,), 0.9).total
+
+    def test_unencodable_example_raises_encode_error(self):
+        # an empty sentence or a bad id is an error in the data, not a
+        # degenerate view to skip, and the message is encode's
+        model = random_model(8, 4, np.random.default_rng(0))
+        cases = [([ContrastiveExample((1, 2), (3, 4), (5,)),
+                   ContrastiveExample((1, 2), (), (5,))], "empty"),
+                 ([ScoredExample((1, 2), (3,), 0.5),
+                   ScoredExample((1, 99), (3,), 0.5)], "out of range")]
+        for examples, message in cases:
+            with pytest.raises(EncodeError, match=message) as info:
+                total_loss(model, None, Batch(examples=examples, seed=0),
+                           RegularizerConfig(kind="none"))
+            assert not isinstance(info.value, DegenerateNormError)
 
     def test_anchored_kinds_require_theta0(self):
         model = random_model(8, 4, np.random.default_rng(0))
