@@ -315,6 +315,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_importance(ns: argparse.Namespace) -> int:
+    if ns.limit is not None and ns.limit < 1:
+        raise CliError(f"--limit must be >= 1, got {ns.limit}")
     corpus = load_corpus(ns.corpus)
     vocab = Vocab.load(ns.vocab)
     theta = load_checkpoint(ns.checkpoint, vocab)
@@ -326,7 +328,7 @@ def cmd_importance(ns: argparse.Namespace) -> int:
         if missing:
             raise CliError(f"{ns.source} id {missing[0]!r} not in corpus")
     else:
-        wanted = sorted(source)[: ns.limit] if ns.limit else sorted(source)
+        wanted = sorted(source)[: ns.limit]
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -461,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=["queries", "items"], default="queries",
                    help="which side of the corpus to score")
     p.add_argument("--ids", default=None, help="comma-separated ids (default: all)")
-    p.add_argument("--limit", type=int, default=None, help="cap the number of sentences")
+    p.add_argument("--limit", type=int, default=None,
+                   help="cap the number of sentences (at least 1)")
     p.add_argument("--out-dir", required=True, help="directory for per-sentence TSVs")
     p.set_defaults(func=cmd_importance)
 

@@ -166,14 +166,20 @@ def encode_batch(
     seeds: Sequence[int] | None = None,
 ) -> BatchEncodeResult:
     """The batched forward: row i bit-identical to
-    ``encode(model, sentences[i], rates[i], seeds[i]).embedding`` (rates
-    default to 0). Where ``encode`` would raise (empty sentence, id outside the
-    vocabulary, degenerate norm), ``ok[i]`` is False and row i is zero."""
+    ``encode(model, sentences[i], rates[i], seeds[i]).embedding`` (rates and
+    seeds default to 0). Where ``encode`` would raise (empty sentence, id
+    outside the vocabulary, degenerate norm), ``ok[i]`` is False and row i is
+    zero."""
     n, (v, d) = len(sentences), model.table.shape
+    for name, given in (("rates", rates), ("seeds", seeds)):
+        if given is not None and len(given) != n:
+            raise ValueError(f"{name} has length {len(given)}, sentences {n}")
     if rates is None:
         rates = [0.0] * n
     elif not all(0.0 <= r < 1.0 for r in rates):
         raise EncodeError(f"dropout rates must be in [0, 1), got {rates}")
+    if seeds is None:
+        seeds = [0] * n
     lengths = [len(s) for s in sentences]
     width = max(lengths, default=0)
     # A plain row's ids ascending, the order encode sums in; a dropout row's in

@@ -28,16 +28,40 @@ class RankingResult:
     excluded: list[str] = field(default_factory=list)
 
 
+# The last catalogue encoded: (key, the in-vocabulary token ids its items
+# read, the bytes of those table rows, ids, excluded ids, read-only rows).
+# Rebound whole, never updated in place.
+_last_catalogue: tuple | None = None
+
+
 def _encode_items(
     theta: EmbeddingModel, items: Mapping[str, Sentence]
 ) -> tuple[list[str], list[str], np.ndarray]:
     """(encodable ids, excluded ids, the encodable items' embedding rows),
-    ids ascending."""
+    ids ascending.
+
+    A catalogue equal to the last one encoded, under a table of the same
+    shape whose rows the items read hold the same bytes, reuses the last
+    encoding: those rows are all ``encode_batch`` reads of the table, so the
+    result is the one it would compute."""
+    global _last_catalogue
     all_ids = sorted(items)
-    enc = encode_batch(theta, [items[iid] for iid in all_ids])
+    sentences = [tuple(items[iid]) for iid in all_ids]
+    key = (theta.table.shape, theta.table.dtype, all_ids, sentences)
+    if _last_catalogue is not None:
+        last_key, read, snapshot, ids, excluded, rows = _last_catalogue
+        if last_key == key and theta.table.take(read, axis=0).tobytes() == snapshot:
+            return ids, list(excluded), rows
+    enc = encode_batch(theta, sentences)
     ids = [iid for iid, good in zip(all_ids, enc.ok) if good]
     excluded = [iid for iid, good in zip(all_ids, enc.ok) if not good]
-    return ids, excluded, enc.embeddings[enc.ok]
+    rows = enc.embeddings[enc.ok]
+    rows.setflags(write=False)
+    tokens = np.fromiter(set().union(*sentences), dtype=np.intp)
+    read = tokens[(tokens >= 0) & (tokens < theta.vocab_size)]
+    _last_catalogue = (key, read, theta.table.take(read, axis=0).tobytes(),
+                       ids, excluded, rows)
+    return ids, list(excluded), rows
 
 
 def rank_items(
@@ -64,7 +88,7 @@ def rank_items(
             f"k={k} exceeds the {len(ids)} encodable items ({len(excluded)} excluded)"
         )
     scores = row_dots(rows, q)
-    order = np.lexsort((np.array(ids), -scores))
+    order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id
     ranked = [(ids[i], float(scores[i])) for i in order[:k]]
     return RankingResult(ranked=ranked, excluded=excluded)
 
@@ -184,7 +208,6 @@ def evaluate(
         theta, {iid: vocab.encode(toks) for iid, toks in corpus.items.items()})
     if not item_ids:
         raise EvalError("no candidate item could be encoded")
-    id_arr = np.array(item_ids)
 
     relevant = corpus.relevant_by_query()
     pair_counts = corpus.item_pair_counts()
@@ -211,7 +234,7 @@ def evaluate(
             raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
     q_scores = {qid: row_dots(item_matrix, row) for qid, row in zip(qids, q.embeddings)}
     for qid, scores in q_scores.items():
-        order = np.lexsort((id_arr, -scores))
+        order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id
         rel = relevant.get(qid, set())
         for k in feasible:
             hits = sum(1 for i in order[:k] if item_ids[i] in rel)

@@ -1,11 +1,15 @@
-"""Shared fixtures: tiny hand-built models and a finite-difference oracle."""
+"""Shared fixtures: tiny hand-built models, a finite-difference oracle and a
+forward-pass counter."""
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Mapping
 
 import numpy as np
+import pytest
 
+import matchlab.encoder
 from matchlab import EmbeddingModel, Vocab
 
 
@@ -73,3 +77,26 @@ def grad_rel_error(
         if keys else zeros
     denom = max(float(np.linalg.norm(b)), 1e-12)
     return float(np.linalg.norm(a - b)) / denom
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Sentences of every forward pass, one per encode call and one per row
+    of encode_batch, counted at every module binding of both (the package
+    re-exports them and each module imports them by name)."""
+    calls = []
+    originals = {matchlab.encoder.encode: calls.append,
+                 matchlab.encoder.encode_batch: calls.extend}
+
+    def counting(original, record):
+        def wrapper(*args, **kwargs):
+            record(args[1])
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, mod in list(sys.modules.items()):
+        if name == "matchlab" or name.startswith("matchlab."):
+            for attr, obj in list(vars(mod).items()):
+                if callable(obj) and obj in originals:
+                    monkeypatch.setattr(mod, attr, counting(obj, originals[obj]))
+    return calls

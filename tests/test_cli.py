@@ -133,6 +133,18 @@ class TestPipeline:
         assert len(tsvs) == 3
         assert (tmp_path / "imp" / "config.json").exists()
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_importance_limit_below_one_fails(self, pipeline, tmp_path, limit):
+        root, _ = pipeline
+        err = run_fail([
+            "importance", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+            "--checkpoint", str(root / "itv.ckpt"), "--base", str(root / "base.ckpt"),
+            "--vocab", str(root / "vocab.tsv"), "--limit", limit,
+            "--out-dir", str(tmp_path / "imp"),
+        ])
+        assert err["error"] == f"--limit must be >= 1, got {limit}"
+        assert not (tmp_path / "imp").exists()
+
     def test_importance_unknown_id_fails(self, pipeline, tmp_path):
         root, _ = pipeline
         err = run_fail([

@@ -145,6 +145,24 @@ class TestEncodeBatch:
             assert np.array_equal(scores[:200], scores[200:][::-1])
             assert scores.tobytes() == np.array([float(r @ q) for r in emb]).tobytes()
 
+    def test_seeds_default_to_zero(self):
+        model = random_model(6, 4, np.random.default_rng(7))
+        sentences, rates = [(1, 2, 3), (4, 5), (6,)], [0.2, 0.0, 0.5]
+        emb = encode_batch(model, sentences, rates).embeddings
+        for row, sentence, rate in zip(emb, sentences, rates):
+            assert row.tobytes() == encode(model, sentence, rate).embedding.tobytes()
+
+    @pytest.mark.parametrize("rates, seeds, message", [
+        ([0.2], None, "rates has length 1, sentences 2"),
+        ([0.2, 0.0, 0.1], None, "rates has length 3, sentences 2"),
+        ([0.2, 0.1], [3], "seeds has length 1, sentences 2"),
+        (None, [3, 4, 5], "seeds has length 3, sentences 2"),
+    ], ids=["rates-short", "rates-long", "seeds-short", "seeds-long"])
+    def test_argument_lengths_must_match_the_sentences(self, rates, seeds, message):
+        model = random_model(6, 4, np.random.default_rng(8))
+        with pytest.raises(ValueError, match=message):
+            encode_batch(model, [(1, 2), (3,)], rates, seeds)
+
 
 class TestEncodeBackward:
     def test_matches_finite_differences(self):

@@ -16,6 +16,7 @@ import pytest
 
 from matchlab import (
     Corpus,
+    EncodeError,
     EvalError,
     EvalReport,
     Pair,
@@ -33,8 +34,9 @@ from matchlab import (
     write_report_json,
     write_sweep_csv,
 )
+from matchlab.evaluation import _encode_items
 
-from conftest import make_vocab, model_from_rows, random_model
+from conftest import make_vocab, model_from_rows, random_model, random_sentence
 
 
 def mann_whitney_auc(scored):
@@ -110,6 +112,120 @@ class TestRankItems:
         model = _ranking_model()
         with pytest.raises(EvalError):
             rank_items(model, (1,), {}, k=1)
+
+
+def encode_each_item(theta, items):
+    """What the catalogue encoding must be: (encodable ids, excluded ids,
+    rows), each item encoded on its own by ``encode``."""
+    ids, excluded, rows = [], [], []
+    for iid in sorted(items):
+        try:
+            rows.append(encode(theta, items[iid]).embedding)
+        except EncodeError:
+            excluded.append(iid)
+        else:
+            ids.append(iid)
+    return ids, excluded, np.array(rows).reshape(len(rows), theta.dim)
+
+
+def assert_encodes_as_each_item(theta, items):
+    ids, excluded, rows = _encode_items(theta, items)
+    want_ids, want_excluded, want_rows = encode_each_item(theta, items)
+    assert (ids, excluded) == (want_ids, want_excluded)
+    assert rows.tobytes() == want_rows.tobytes()
+
+
+class TestCatalogueMemo:
+    """rank_items and evaluate reuse the last catalogue's encoding while its
+    items and the table rows they read are unchanged, and only then."""
+
+    def _catalogue(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(8, 4, rng)
+        return model, {f"i{j}": random_sentence(8, rng) for j in range(6)}
+
+    def test_second_ranking_encodes_only_the_query(self, encode_calls):
+        model, items = self._catalogue(0)
+        first = rank_items(model, (1, 2), items, k=3)
+        assert len(encode_calls) == 1 + len(items)
+        encode_calls.clear()
+        assert rank_items(model, (1, 2), items, k=3) == first
+        assert encode_calls == [(1, 2)]
+
+    def test_evaluate_and_rank_items_share_the_catalogue(self, encode_calls):
+        corpus, model = _eval_corpus_and_model(seed=9)
+        first = evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        encode_calls.clear()
+        assert evaluate(model, corpus, ks=(1, 3), n_bins=2) == first
+        assert len(encode_calls) == len(corpus.queries)
+        encode_calls.clear()
+        items = {iid: model.vocab.encode(toks) for iid, toks in corpus.items.items()}
+        rank_items(model, (1,), items, k=2)
+        assert encode_calls == [(1,)]
+
+    def test_cached_rows_are_read_only(self):
+        model, items = self._catalogue(1)
+        _encode_items(model, items)
+        rows = _encode_items(model, items)[2]
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("value", [0.5, -0.0], ids=["value", "signed-zero"])
+    def test_in_place_edit_of_a_read_row_misses(self, encode_calls, value):
+        # t2's second coordinate is 0.0: set it, or flip only its sign (which
+        # no sum can show, as numpy's sums start from +0.0, but the rows are
+        # compared byte for byte)
+        model = model_from_rows([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
+        items = {"a": (2,), "b": (2, 3), "c": (3,)}
+        _encode_items(model, items)
+        model.table[2, 1] = value
+        encode_calls.clear()
+        _encode_items(model, items)
+        assert encode_calls == [(2,), (2, 3), (3,)]
+        assert_encodes_as_each_item(model, items)
+
+    def test_edit_of_an_unread_row_keeps_the_entry(self, encode_calls):
+        model, items = self._catalogue(2)
+        unread = sorted(set(range(model.vocab_size)) - set().union(*items.values()))[0]
+        rank_items(model, (1,), items, k=2)
+        model.table[unread] += 1.0
+        encode_calls.clear()
+        rank_items(model, (1,), items, k=2)
+        assert encode_calls == [(1,)]
+
+    def test_another_model_with_the_same_shape_misses(self):
+        model, items = self._catalogue(3)
+        other = random_model(8, 4, np.random.default_rng(4))
+        _encode_items(model, items)
+        assert_encodes_as_each_item(other, items)
+
+    def test_changed_tokens_miss_and_an_equal_copy_hits(self, encode_calls):
+        model, items = self._catalogue(5)
+        first = rank_items(model, (1,), items, k=6)
+        changed = {**items, "i0": items["i0"] + (1,)}
+        encode_calls.clear()
+        rank_items(model, (1,), changed, k=6)
+        assert len(encode_calls) == 1 + len(items)
+        assert_encodes_as_each_item(model, changed)
+        rank_items(model, (1,), items, k=6)
+        copy = {iid: list(s) for iid, s in reversed(items.items())}
+        encode_calls.clear()
+        assert rank_items(model, (1,), copy, k=6) == first
+        assert encode_calls == [(1,)]
+
+    def test_returned_excluded_lists_are_the_callers_own(self):
+        model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        items = {"bad": (1, 2), "good": (3,)}
+        rank_items(model, (1,), items, k=1).excluded.append("ghost")
+        assert rank_items(model, (1,), items, k=1).excluded == ["bad"]
+        corpus = Corpus(
+            queries={"q": ("t1",)},
+            items={"bad": ("t1", "t2"), "good": ("t3",)},
+            pairs=[Pair("q", "good", 1.0)],
+        )
+        evaluate(model, corpus, ks=(1,), n_bins=1).excluded_items.clear()
+        assert evaluate(model, corpus, ks=(1,), n_bins=1).excluded_items == ["bad"]
+        assert rank_items(model, (1,), items, k=1).excluded == ["bad"]
 
 
 class TestPrecisionAtK:

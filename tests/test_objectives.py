@@ -5,7 +5,6 @@ differences; fixed-geometry fixtures pin the arithmetic."""
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -317,29 +316,6 @@ def _scored_batch(n_tokens, rng, size, seed):
         for _ in range(size)
     ]
     return Batch(examples=examples, seed=seed)
-
-
-@pytest.fixture
-def encode_calls(monkeypatch):
-    """Sentences of every forward pass, one per encode call and one per row
-    of encode_batch, counted at every module binding of both (the package
-    re-exports them and each module imports them by name)."""
-    calls = []
-    originals = {matchlab.encoder.encode: calls.append,
-                 matchlab.encoder.encode_batch: calls.extend}
-
-    def counting(original, record):
-        def wrapper(*args, **kwargs):
-            record(args[1])
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name, mod in list(sys.modules.items()):
-        if name == "matchlab" or name.startswith("matchlab."):
-            for attr, obj in list(vars(mod).items()):
-                if callable(obj) and obj in originals:
-                    monkeypatch.setattr(mod, attr, counting(obj, originals[obj]))
-    return calls
 
 
 class TestOneForwardPerView:

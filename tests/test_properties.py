@@ -1,8 +1,11 @@
 """Property tests: the batched forward and backward against the per-sentence
-oracles, masking bounds, and partial AUC against a brute-force threshold
-sweep."""
+oracles, masking bounds, partial AUC against a brute-force threshold sweep,
+and rankings and reports through the catalogue memo against per-item
+encodes."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -10,20 +13,26 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import matchlab.evaluation  # noqa: E402
 from matchlab import (  # noqa: E402
+    Corpus,
+    EmbeddingModel,
     EncodeError,
     EvalError,
+    Pair,
     auc_partial,
     encode,
     encode_backward,
     encode_batch,
+    evaluate,
     mask_fraction,
+    rank_items,
     row_dots,
 )
 from matchlab.encoder import encode_batch_backward  # noqa: E402
 
-from conftest import model_from_rows  # noqa: E402
-from test_evaluation import sweep_pauc  # noqa: E402
+from conftest import make_vocab, model_from_rows  # noqa: E402
+from test_evaluation import encode_each_item, sweep_pauc  # noqa: E402
 
 # Fixed examples: the suite tests the same cases on every run.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -145,3 +154,84 @@ def test_auc_partial_matches_a_threshold_sweep(scored, fpr_max):
         return
     assert auc_partial(scored, fpr_max) == pytest.approx(sweep_pauc(scored, fpr_max),
                                                          abs=1e-12)
+
+
+N_TOKENS = 4
+VOCAB = make_vocab(N_TOKENS)
+QUERIES = {"q0": ("t1",), "q1": ("t2", "t3"), "q2": ("t4", "t1", "t1")}
+
+
+@st.composite
+def catalogue(draw):
+    """A corpus of the fixed queries over 1 to 4 items with ids drawn from
+    one small pool (so two catalogues often share ids), UNK tokens included,
+    and random 0/1 relevance pairs."""
+    ids = draw(st.lists(st.sampled_from(["i0", "i1", "i2", "i3", "i4"]),
+                        min_size=1, max_size=4, unique=True))
+    items = {iid: VOCAB.decode(draw(st.lists(st.integers(0, N_TOKENS), min_size=1,
+                                             max_size=4)))
+             for iid in ids}
+    pairs = [Pair(qid, iid, float(draw(st.integers(0, 1))))
+             for qid in QUERIES for iid in ids if draw(st.booleans())]
+    return Corpus(dict(QUERIES), items, pairs)
+
+
+@st.composite
+def memo_traffic(draw):
+    """Two models over one vocabulary (one table shape, so only their rows
+    tell them apart), two catalogues, and calls of rank_items and evaluate
+    interleaved with in-place table edits: a new value or a flipped sign."""
+    dim = draw(st.integers(2, 3))
+    tables = [np.array(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                     min_size=N_TOKENS + 1, max_size=N_TOKENS + 1)))
+              for _ in range(2)]
+    corpora = [draw(catalogue()), draw(catalogue())]
+    op = st.one_of(
+        st.tuples(st.just("rank"), st.integers(0, 1), st.integers(0, 1),
+                  st.sampled_from(sorted(QUERIES)), st.integers(1, 4)),
+        st.tuples(st.just("evaluate"), st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.just("edit"), st.integers(0, 1), st.integers(0, N_TOKENS),
+                  st.integers(0, dim - 1), st.sampled_from(["flip"]) | entry),
+    )
+    return tables, corpora, draw(st.lists(op, min_size=1, max_size=12))
+
+
+def outcome(fn, *args) -> str:
+    """A call's result or error as text that tells every float bit apart.
+    The returned excluded-id list is then changed, as a caller may."""
+    try:
+        res = fn(*args)
+    except (EncodeError, EvalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(res, matchlab.evaluation.RankingResult):
+        text = repr(([(iid, score.hex()) for iid, score in res.ranked], res.excluded))
+        res.excluded.append("ghost")
+        return text
+    text = json.dumps(res.to_json_dict(), sort_keys=True)
+    res.excluded_items.append("ghost")
+    return text
+
+
+@PROPERTY
+@given(memo_traffic())
+def test_memoized_catalogue_gives_the_per_item_results(case):
+    tables, corpora, ops = case
+    models = [EmbeddingModel(table, VOCAB) for table in tables]
+    catalogues = [{iid: VOCAB.encode(toks) for iid, toks in c.items.items()}
+                  for c in corpora]
+    for op in ops:
+        if op[0] == "edit":
+            _, m, row, col, value = op
+            table = models[m].table
+            table[row, col] = -table[row, col] if value == "flip" else value
+            continue
+        if op[0] == "rank":
+            _, m, c, qid, k = op
+            call = (rank_items, models[m], VOCAB.encode(QUERIES[qid]), catalogues[c], k)
+        else:
+            _, m, c = op
+            call = (evaluate, models[m], corpora[c], (1, 2), 2)
+        got = outcome(*call)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matchlab.evaluation, "_encode_items", encode_each_item)
+            assert got == outcome(*call)
