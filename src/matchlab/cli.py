@@ -193,7 +193,7 @@ def cmd_split(ns: argparse.Namespace) -> int:
     corpus = load_corpus(ns.corpus)
     if ns.holdout:
         holdout = tuple(h for h in ns.holdout.split(",") if h)
-    elif ns.holdout_k:
+    elif ns.holdout_k is not None:
         holdout = most_frequent_categories(corpus, ns.holdout_k)
     else:
         raise CliError("give --holdout names or --holdout-k")

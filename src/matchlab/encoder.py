@@ -8,7 +8,6 @@ through the normalization via the projection Jacobian (I - u u^T) / ||s||.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Hashable, Iterable, Sequence
@@ -115,13 +114,9 @@ def encode(
     """
     if not (0.0 <= rate < 1.0):
         raise EncodeError(f"dropout rate must be in [0, 1), got {rate}")
-    if len(sentence) == 0:
-        raise EncodeError("cannot encode an empty sentence")
     ids = np.asarray(sentence, dtype=np.intp)
-    if ids.min() < 0 or ids.max() >= model.vocab_size:
-        raise EncodeError(
-            f"token id out of range for vocab of size {model.vocab_size}: {sentence}"
-        )
+    if len(ids) == 0 or ids.min() < 0 or ids.max() >= model.vocab_size:
+        raise encode_error(model, sentence, 0.0)  # the norm is not read
     keep = None
     if rate == 0.0:
         # Summing in sorted-id order makes token-order invariance bit-exact.
@@ -131,10 +126,24 @@ def encode(
         s = (model.table[ids] * keep).sum(axis=0) / (1.0 - rate)
     n = float(np.linalg.norm(s))
     if n <= NORM_EPS:
-        raise DegenerateNormError(
-            f"pre-normalization sum has norm {n:.3e} <= {NORM_EPS:g} for sentence {tuple(sentence)}"
-        )
+        raise encode_error(model, sentence, n)
     return EncodeResult(s / n, s, tuple(sentence), keep, rate)
+
+
+def encode_error(model: EmbeddingModel, sentence: Sequence[int], norm: float) -> EncodeError:
+    """The error every path raises for a sentence that does not encode, whose
+    pre-normalization sum has norm ``norm``: an empty sentence, else an id
+    outside the vocabulary, else a degenerate norm."""
+    if len(sentence) == 0:
+        return EncodeError("cannot encode an empty sentence")
+    ids = np.asarray(sentence, dtype=np.intp)
+    if ids.min() < 0 or ids.max() >= model.vocab_size:
+        return EncodeError(
+            f"token id out of range for vocab of size {model.vocab_size}: {sentence}"
+        )
+    return DegenerateNormError(
+        f"pre-normalization sum has norm {norm:.3e} <= {NORM_EPS:g} for sentence {tuple(sentence)}"
+    )
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,32 +235,25 @@ def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:
 
 def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.ndarray]:
     """Gradient of upstream^T result.embedding w.r.t. the touched table rows of
-    the model and view that produced ``result``.
-
-    Every occurrence of a token contributes the same projected vector, so a
-    token repeated k times accumulates k of them; in a dropout view each
-    occurrence's vector is masked by its own keep row.
-    """
+    the model and view that produced ``result``: the one-row
+    :func:`encode_batch_backward`."""
     u = result.embedding
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != u.shape:
         raise ValueError(f"upstream must have shape {u.shape}, got {upstream.shape}")
-    g = (upstream - u * (u @ upstream)) / float(np.linalg.norm(result.prenorm_sum))
-    if result.keep is None:
-        return {tok: cnt * g for tok, cnt in sorted(Counter(result.token_ids).items())}
-    grads: dict[int, np.ndarray] = {}
-    for keep, tok in zip(result.keep, result.token_ids):
-        contrib = keep * g / (1.0 - result.rate)
-        grads[tok] = grads[tok] + contrib if tok in grads else contrib
-    return grads
+    view = BatchEncodeResult(u[None], np.ones(1, dtype=bool),
+                             np.array([np.linalg.norm(result.prenorm_sum)]),
+                             [result.token_ids], [result.rate],
+                             None if result.keep is None else result.keep[None])
+    keys, grads = encode_batch_backward(view, [0], upstream[None])
+    return {tok: g for (_, tok), g in zip(keys, grads)}
 
 
 def encode_batch_backward(
     result: BatchEncodeResult, rows: Sequence[int], upstream: np.ndarray
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Per use i, the gradient of ``upstream[i]`` dotted with embedding row
-    ``rows[i]``: (use, token id) keys in use order and their gradient rows,
-    each use's rows ``encode_backward`` of its view, byte for byte."""
+    ``rows[i]``: (use, token id) keys in use order and their gradient rows."""
     u = result.embeddings.take(rows, axis=0)
     g = (upstream - u * row_dots(u, upstream)[:, None]) / result.norms.take(rows)[:, None]
     keys, count, occurrence = [], [], []  # occurrence: (view row, position) in the keep mask

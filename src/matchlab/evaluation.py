@@ -13,7 +13,7 @@ from typing import AbstractSet, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, Sentence, interpolate_ood, item_frequency_quantiles
-from .encoder import EmbeddingModel, EncodeError, encode, encode_batch, row_dots
+from .encoder import EmbeddingModel, encode, encode_batch, encode_error, row_dots
 
 NO_TRUTH_BIN = -1
 
@@ -228,10 +228,8 @@ def evaluate(
     q = encode_batch(theta, q_sents)
     if not q.ok.all():
         i = int(np.argmin(q.ok))  # the first query that fails
-        try:
-            encode(theta, q_sents[i])
-        except EncodeError as exc:
-            raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
+        exc = encode_error(theta, q_sents[i], q.norms[i])
+        raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
     q_scores = {qid: row_dots(item_matrix, row) for qid, row in zip(qids, q.embeddings)}
     for qid, scores in q_scores.items():
         order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id
@@ -241,7 +239,7 @@ def evaluate(
             p_sums[k] += hits / k
         p1 = 1.0 if (feasible and item_ids[order[0]] in rel) else 0.0
         if rel:
-            anchor = sorted(rel, key=lambda i: (-pair_counts.get(i, 0), i))[0]
+            anchor = min(rel, key=lambda i: (-pair_counts.get(i, 0), i))
             b = bins[anchor] if bins is not None else 0
         else:
             n_no_truth += 1

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Sentence, Tokens
-from .encoder import EmbeddingModel, VocabMismatchError, encode, encode_batch, row_dots
+from .encoder import EmbeddingModel, VocabMismatchError, encode_batch, encode_error, row_dots
 
 AMPLIFICATION_FLOOR = 1e-6
 
@@ -59,9 +59,12 @@ def importance_scores(model: EmbeddingModel, sentence: Sentence) -> list[float]:
         raise InterventionError(
             f"importance needs at least 2 tokens, got {len(sentence)}"
         )
-    full = encode(model, sentence).embedding
-    masked = encode_batch(model, [mask_single(sentence, j) for j in range(len(sentence))])
-    return np.where(masked.ok, 1.0 - row_dots(masked.embeddings, full), np.nan).tolist()
+    views = [sentence] + [mask_single(sentence, j) for j in range(len(sentence))]
+    enc = encode_batch(model, views)  # the full sentence, then each position masked
+    if not enc.ok[0]:
+        raise encode_error(model, sentence, enc.norms[0])
+    full, masked = enc.embeddings[0], enc.embeddings[1:]
+    return np.where(enc.ok[1:], 1.0 - row_dots(masked, full), np.nan).tolist()
 
 
 @dataclass

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
@@ -35,9 +34,9 @@ from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
     VocabMismatchError,
-    encode,
     encode_batch,
     encode_batch_backward,
+    encode_error,
     row_dots,
     sum_rows,
 )
@@ -195,21 +194,12 @@ def _kernel(
         emb, good = np.concatenate((emb, enc0.embeddings)), good + enc0.ok.tolist()
     ok = [all(map(good.__getitem__, r)) for r in rows_of]
     for view in (v for t, k in zip(terms[:n_fits], ok) if not k for v in t.views):
-        with suppress(DegenerateNormError):
-            encode(theta, *view)  # an empty sentence or a bad id raises here
+        exc = encode_error(theta, view[0], enc.norms[views[view]])
+        if not isinstance(exc, DegenerateNormError):  # an empty sentence or a bad id
+            raise exc
     n_fit, n_pen = sum(ok[:n_fits]), sum(ok[n_fits:])
     if not n_fit:
         raise DegenerateNormError("every example of the batch has a degenerate view")
-
-    if len(terms) == 1:  # alone, there is nothing to group, weight or add across terms
-        (t,), (r,) = terms, rows
-        val, up = _rule(t.rule, emb.take(rows_of, axis=0), np.array([t.target]))
-        x = val.item()
-        if t.rule == "hinge" and x <= 0.0:  # the hinge's kink and below add nothing
-            return LossValue(0.0, 0.0, 0.0, {}, n_skipped_penalty=skipped)
-        keys, grads = encode_batch_backward(enc, r, up[0])
-        return LossValue(x, 0.0, x, dict(zip(*sum_rows([tok for _, tok in keys], grads))),
-                         n_skipped_penalty=skipped)
 
     groups: dict[str, list[int]] = {}
     for i in compress(range(len(terms)), ok):
@@ -344,10 +334,10 @@ def build_itvaug(
             masked.append((sent, mask_fraction(sent, mask_frac, mask_seed)))
         except InterventionError:
             pass
-    a = encode_batch(theta0, [x for x, _ in masked])
-    b = encode_batch(theta0, [x_prime for _, x_prime in masked])
+    enc = encode_batch(theta0, [x for x, _ in masked] + [x_prime for _, x_prime in masked])
+    (a, b), (a_ok, b_ok) = np.split(enc.embeddings, 2), np.split(enc.ok, 2)
     pairs = [AugmentedPair(x, x_prime, float(target)) for (x, x_prime), target, ok
-             in zip(masked, row_dots(a.embeddings, b.embeddings), a.ok & b.ok) if ok]
+             in zip(masked, row_dots(a, b), a_ok & b_ok) if ok]
     skipped = take - len(pairs)
     if skipped:
         logger.warning(

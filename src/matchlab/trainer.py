@@ -118,11 +118,11 @@ def mine_negatives(
     if len(batch) < 2:
         raise ValueError("in-batch mining needs at least 2 examples")
 
-    q = encode_batch(theta, [ex.x for ex in batch])
-    z = encode_batch(theta, [ex.z_pos for ex in batch])
+    enc = encode_batch(theta, [ex.x for ex in batch] + [ex.z_pos for ex in batch])
+    (q, z), (q_ok, z_ok) = np.split(enc.embeddings, 2), np.split(enc.ok, 2)
     item_row: dict[str, int] = {}  # each item's first encodable occurrence
     for j, ex in enumerate(batch):
-        if z.ok[j]:
+        if z_ok[j]:
             item_row.setdefault(ex.item_id, j)
 
     rng = np.random.default_rng(seed)
@@ -133,11 +133,11 @@ def mine_negatives(
             iid for iid in item_row
             if iid != ex.item_id and iid not in rel
         )
-        if not cands or not q.ok[i]:
+        if not cands or not q_ok[i]:
             out.append(None)
             continue
         if strategy == "in-batch-hardest":
-            sims = row_dots(z.embeddings[[item_row[c] for c in cands]], q.embeddings[i])
+            sims = row_dots(z[[item_row[c] for c in cands]], q[i])
             # cands are id-sorted and argmax keeps the first maximum, so ties
             # go to the smallest id
             pick = cands[int(np.argmax(sims))]

@@ -180,6 +180,16 @@ class TestErrorContract:
         ])
         assert "holdout" in err["error"]
 
+    def test_split_holdout_k_zero_names_the_infeasible_k(self, pipeline, tmp_path):
+        # --holdout-k 0 was given, so the error is about k, not a missing flag
+        root, _ = pipeline
+        err = run_fail([
+            "split", "--corpus", str(root / "data" / "train.jsonl"),
+            "--out-dir", str(tmp_path / "s"), "--holdout-k", "0",
+        ])
+        assert err["error"].startswith("k=0 infeasible with ")
+        assert not (tmp_path / "s").exists()
+
     def test_non_finite_lr_fails_before_training(self, pipeline, tmp_path):
         root, _ = pipeline
         out = tmp_path / "nan.ckpt"

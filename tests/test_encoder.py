@@ -1,5 +1,6 @@
-"""Encoder: bag-of-words embedding, normalization, dropout views, and exact
-gradients checked against central finite differences."""
+"""Encoder: bag-of-words embedding, normalization, dropout views, exact
+gradients checked against central finite differences, and the one failure
+rule every path that encodes a sentence raises through."""
 
 from __future__ import annotations
 
@@ -7,16 +8,27 @@ import numpy as np
 import pytest
 
 from matchlab import (
+    Batch,
+    ContrastiveExample,
+    Corpus,
     DegenerateNormError,
     EmbeddingModel,
     EncodeError,
+    EvalError,
+    InterventionError,
+    Pair,
+    RegularizerConfig,
     VocabMismatchError,
     encode,
     encode_backward,
     encode_batch,
+    evaluate,
+    importance_scores,
     init_model,
+    rank_items,
     relevance,
     row_dots,
+    total_loss,
 )
 
 from conftest import fd_gradient, grad_rel_error, make_vocab, model_from_rows, random_model
@@ -250,3 +262,69 @@ class TestDropout:
                                          seed=seed).embedding),
                 model, set(ids))
             assert grad_rel_error(grads, fd, model.dim) < 1e-5
+
+
+# Rows t1..t4: t1 + t2 cancels exactly, t1 + t4 leaves a norm of 2.5e-10.
+FAILING_ROWS = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [-1.0, 2.5e-10]]
+DEGENERATE = "pre-normalization sum has norm {} <= 1e-09 for sentence {}"
+# (sentence, error type, message): what the per-sentence encode raised
+FAILURES = [
+    ((), EncodeError, "cannot encode an empty sentence"),
+    ((5,), EncodeError, "token id out of range for vocab of size 5: (5,)"),
+    ((-1,), EncodeError, "token id out of range for vocab of size 5: (-1,)"),
+    ([3, 9], EncodeError, "token id out of range for vocab of size 5: [3, 9]"),
+    ((1, 2), DegenerateNormError, DEGENERATE.format("0.000e+00", "(1, 2)")),
+    ([1, 4], DegenerateNormError, DEGENERATE.format("2.500e-10", "(1, 4)")),
+]
+
+
+def raised(call, *args) -> tuple[type, str]:
+    with pytest.raises(Exception) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+class TestOneFailureRule:
+    """Every public path that fails a sentence raises encode's error type and
+    message, or the error it wraps around them."""
+
+    @pytest.mark.parametrize("sentence, error, message", FAILURES)
+    def test_encode_and_rank_items(self, sentence, error, message):
+        model = model_from_rows(FAILING_ROWS)
+        assert raised(encode, model, sentence) == (error, message)
+        assert raised(rank_items, model, sentence, {"a": (3,)}, 1) == (error, message)
+
+    @pytest.mark.parametrize("sentence, error, message", FAILURES)
+    def test_importance_scores(self, sentence, error, message):
+        model = model_from_rows(FAILING_ROWS)
+        if len(sentence) < 2:
+            error = InterventionError
+            message = f"importance needs at least 2 tokens, got {len(sentence)}"
+        assert raised(importance_scores, model, sentence) == (error, message)
+
+    @pytest.mark.parametrize("kind", ["none", "itvreg"])
+    @pytest.mark.parametrize("sentence, error, message", FAILURES)
+    def test_total_loss(self, sentence, error, message, kind):
+        # A view's sentence is a tuple; a degenerate example is skipped, and a
+        # batch left with none raises.
+        model = model_from_rows(FAILING_ROWS)
+        batch = Batch([ContrastiveExample(sentence, (3,), (1,))], seed=0)
+        if error is DegenerateNormError:
+            message = "every example of the batch has a degenerate view"
+        message = message.replace("[3, 9]", "(3, 9)")
+        assert raised(total_loss, model, model.copy(frozen=True), batch,
+                      RegularizerConfig(kind=kind)) == (error, message)
+
+    @pytest.mark.parametrize("queries, failing, norm, sentence", [
+        ({"q1": ("t1", "t4"), "q2": ("t1", "t2")}, "q1", "2.500e-10", "(1, 4)"),
+        ({"q1": ("t3", "t1", "t2"), "q2": ("t1", "t2")}, "q2", "0.000e+00", "(1, 2)"),
+    ])
+    def test_evaluate_names_the_first_failing_query(self, queries, failing, norm, sentence):
+        model = model_from_rows(FAILING_ROWS)
+        corpus = Corpus({"q0": ("t3",), **queries}, {"a": ("t3",), "b": ("t1",)},
+                        [Pair("q0", "a", 1.0)])
+        with pytest.raises(EvalError) as exc:
+            evaluate(model, corpus)
+        assert str(exc.value) == (f"query {failing!r} failed to encode: "
+                                  + DEGENERATE.format(norm, sentence))
+        assert type(exc.value.__cause__) is DegenerateNormError

@@ -1,7 +1,7 @@
-"""Property tests: the batched forward and backward against the per-sentence
-oracles, masking bounds, partial AUC against a brute-force threshold sweep,
-and rankings and reports through the catalogue memo against per-item
-encodes."""
+"""Property tests: the batched forward against ``encode``, the batched and
+one-row backwards against the per-sentence reference in ``reference.py``,
+masking bounds, partial AUC against a brute-force threshold sweep, and
+rankings and reports through the catalogue memo against per-item encodes."""
 
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from matchlab import (  # noqa: E402
 )
 from matchlab.encoder import encode_batch_backward  # noqa: E402
 
+import reference  # noqa: E402
 from conftest import make_vocab, model_from_rows  # noqa: E402
 from test_evaluation import encode_each_item, sweep_pauc  # noqa: E402
 
@@ -115,8 +116,12 @@ def test_batched_backward_is_encode_backward_bit_for_bit(case):
         row = uses[i]
         view = encode(model, sentences[row], rates[row], seeds[row])
         assert result.embeddings[row].tobytes() == view.embedding.tobytes()
-        expected = encode_backward(view, upstream[i])
-        assert got[k] == {tok: g.tobytes() for tok, g in expected.items()}
+        expected = [(tok, g.tobytes())
+                    for tok, g in reference.encode_backward(view, upstream[i]).items()]
+        assert got[k] == dict(expected)
+        # the one-row backward: the same rows, keyed in the reference's order
+        assert [(tok, g.tobytes())
+                for tok, g in encode_backward(view, upstream[i]).items()] == expected
 
 
 @PROPERTY
