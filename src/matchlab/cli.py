@@ -76,9 +76,12 @@ def _fractions(text: str) -> list[float]:
 
 def _ks(text: str) -> list[int]:
     try:
-        return [int(k) for k in text.split(",") if k.strip() != ""]
+        ks = [int(k) for k in text.split(",") if k.strip() != ""]
     except ValueError:
         raise CliError(f"could not parse k list {text!r}") from None
+    if not ks:
+        raise CliError("empty k list")
+    return ks
 
 
 def _apply_config(ns: argparse.Namespace, actions: dict[str, argparse.Action],

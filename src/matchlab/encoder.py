@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,8 +150,9 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i of ``a`` dotted with row i of ``b`` (or with ``b``, one vector),
     each its own dot rounded as ``float(a[i] @ b[i])``: a matrix-vector product
     can round equal rows apart, and duplicate items must tie for the id
-    tie-break."""
-    return np.matmul(a[:, None, :], np.asarray(b)[..., None])[:, 0, 0]
+    tie-break. Leading axes broadcast: ``row_dots(z, q[:, None])[i, j]`` is
+    ``float(z[j] @ q[i])``."""
+    return np.matmul(a[..., None, :], np.asarray(b)[..., None])[..., 0, 0]
 
 
 @dataclass
@@ -215,17 +216,19 @@ def encode_batch(
     return BatchEncodeResult(emb, ok, norms, sentences, rates, keep)
 
 
-def sum_rows(keys: Iterable[Hashable], values: np.ndarray) -> tuple[list, np.ndarray]:
-    """The rows of ``values`` summed per key, keys in order of first
+def sum_rows(keys: list[int], values: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The rows of ``values`` summed per integer key, keys in order of first
     appearance. A key's rows are added in the order they come, onto -0.0, so
     a key with one row keeps it bit for bit."""
-    index: dict = {}
+    index: dict[int, int] = {}
     slot = [index.setdefault(key, len(index)) for key in keys]
     if len(index) == len(slot):
-        return list(index), values
-    out = np.full((len(index), values.shape[1]), -0.0)
-    np.add.at(out, slot, values)
-    return list(index), out
+        return keys, values
+    n, d = len(index), values.shape[1]
+    out = np.full(n * d, -0.0)
+    # One flat index per entry, in row order: np.add.at's fast 1-d path.
+    np.add.at(out, (np.array(slot)[:, None] * d + np.arange(d)).ravel(), values.ravel())
+    return list(index), out.reshape(n, d)
 
 
 def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:
@@ -246,27 +249,31 @@ def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.
                              [result.token_ids], [result.rate],
                              None if result.keep is None else result.keep[None])
     keys, grads = encode_batch_backward(view, [0], upstream[None])
-    return {tok: g for (_, tok), g in zip(keys, grads)}
+    return dict(zip(keys, grads))  # use 0: a key is its token id
 
 
 def encode_batch_backward(
     result: BatchEncodeResult, rows: Sequence[int], upstream: np.ndarray
-) -> tuple[list[tuple[int, int]], np.ndarray]:
+) -> tuple[list[int], np.ndarray]:
     """Per use i, the gradient of ``upstream[i]`` dotted with embedding row
-    ``rows[i]``: (use, token id) keys in use order and their gradient rows."""
+    ``rows[i]``: the keys ``i << 32 | token id`` in use order and their
+    gradient rows."""
     u = result.embeddings.take(rows, axis=0)
     g = (upstream - u * row_dots(u, upstream)[:, None]) / result.norms.take(rows)[:, None]
-    keys, count, occurrence = [], [], []  # occurrence: (view row, position) in the keep mask
+    uses, tokens, count, occurrence = [], [], [], []  # occurrence: (view row, position)
     for i, r in enumerate(rows):
         # A plain view's id takes its count times the row; each occurrence in
         # a dropout view takes the row masked by its own keep row.
         s = result.sentences[r]
-        tokens = s if result.rates[r] else sorted(set(s))
-        keys += zip(repeat(i), tokens)
-        count += [1] * len(s) if result.rates[r] else map(s.count, tokens)
-        occurrence += zip(repeat(r), range(len(tokens)))  # a plain row's keep is all True
-    grads = np.array(count)[:, None] * g.take([i for i, _ in keys], axis=0)
-    if result.keep is not None:
-        row, j = np.array(occurrence, dtype=np.intp).reshape(-1, 2).T
-        grads = result.keep[row, j] * grads / (1.0 - np.array(result.rates))[row, None]
+        ids = s if result.rates[r] else sorted(set(s))
+        uses += repeat(i, len(ids))
+        tokens += ids
+        count += [1] * len(s) if result.rates[r] else map(s.count, ids)
+        occurrence += zip(repeat(r), range(len(ids)))  # a plain row's keep is all True
+    keys = [i << 32 | tok for i, tok in zip(uses, tokens)]
+    grads = np.array(count)[:, None] * g.take(uses, axis=0)
+    if result.keep is None:
+        return keys, grads  # a plain view names each id once
+    row, j = np.array(occurrence, dtype=np.intp).reshape(-1, 2).T
+    grads = result.keep[row, j] * grads / (1.0 - np.array(result.rates))[row, None]
     return sum_rows(keys, grads)

@@ -202,6 +202,8 @@ def evaluate(
     for k in ks:
         if k < 1:
             raise EvalError(f"k must be >= 1, got {k}")
+    if n_bins < 1:
+        raise EvalError(f"n_bins must be >= 1, got {n_bins}")
 
     vocab = theta.vocab
     item_ids, excluded, item_matrix = _encode_items(
@@ -211,11 +213,7 @@ def evaluate(
 
     relevant = corpus.relevant_by_query()
     pair_counts = corpus.item_pair_counts()
-    bins = (
-        item_frequency_quantiles(corpus, n_bins)
-        if 1 <= n_bins <= len(corpus.items)
-        else None
-    )
+    bins = item_frequency_quantiles(corpus, n_bins) if n_bins <= len(corpus.items) else None
 
     feasible = [k for k in ks if k <= len(item_ids)]
     p_sums = dict.fromkeys(feasible, 0.0)
@@ -237,7 +235,7 @@ def evaluate(
         for k in feasible:
             hits = sum(1 for i in order[:k] if item_ids[i] in rel)
             p_sums[k] += hits / k
-        p1 = 1.0 if (feasible and item_ids[order[0]] in rel) else 0.0
+        p1 = 1.0 if item_ids[order[0]] in rel else 0.0  # top-1 exists whatever ks holds
         if rel:
             anchor = min(rel, key=lambda i: (-pair_counts.get(i, 0), i))
             b = bins[anchor] if bins is not None else 0

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,8 @@ from .interventions import InterventionError, mask_fraction
 logger = logging.getLogger(__name__)
 
 REGULARIZER_KINDS = ("none", "outreg", "itvreg", "itvaug", "maskreg", "simcse")
+
+_TOKEN = (1 << 32) - 1  # the token id in the low bits of a gradient key
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,33 @@ class RegularizerConfig:
         return 0.15 if self.kind == "maskreg" else 0.5
 
 
+@dataclass(frozen=True, eq=False)
+class SparseGradient(Mapping):
+    """A sparse gradient: distinct token ids and one d-vector row each, read
+    as the mapping {token id: row}."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, grads: Mapping[int, np.ndarray]) -> "SparseGradient":
+        rows = [np.asarray(g, dtype=np.float64) for g in grads.values()]
+        return cls(np.fromiter(grads, dtype=np.int64, count=len(grads)),
+                   np.array(rows) if rows else np.zeros((0, 0)))
+
+    def __getitem__(self, tok: int) -> np.ndarray:
+        at = np.flatnonzero(self.ids == tok)
+        if not len(at):
+            raise KeyError(tok)
+        return self.rows[at[0]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 @dataclass
 class LossValue:
     """A loss evaluation with its sparse gradient (token id -> d-vector).
@@ -91,7 +121,7 @@ class LossValue:
     erm: float
     penalty: float
     total: float
-    gradient: dict[int, np.ndarray]
+    gradient: SparseGradient
     n_penalty_terms: int = 0
     n_skipped_penalty: int = 0
     n_skipped_examples: int = 0
@@ -213,20 +243,28 @@ def _kernel(
             if rule != "hinge" or not x <= 0.0:  # the hinge's kink and below add nothing
                 values[i], upstream[i] = x, u
 
-    erm = 0.0
-    for x in compress(values, ok[:n_fits]):  # in order; sum() compensates from Python 3.12
+    erm = penalty = 0.0  # each mean adds in order: sum() compensates from Python 3.12
+    for x in compress(values[:n_fits], ok):
         erm += x
+    for x in compress(values[n_fits:], ok[n_fits:]):
+        penalty += x
     erm /= n_fit
-    penalty = sum(compress(values[n_fits:], ok[n_fits:])) / n_pen if n_pen else 0.0
-    gradient: dict[int, np.ndarray] = {}
-    if upstream:
+    if n_pen:
+        penalty /= n_pen
+    if not upstream:
+        gradient = SparseGradient(np.zeros(0, dtype=np.int64), np.zeros((0, theta.dim)))
+    else:
+        # Integer keys, summed in three passes: use << 32 | token in the
+        # backward, term << 32 | token, then the token after weighting.
         on = sorted(upstream)
         keys, grads = encode_batch_backward(enc, [r for i in on for r in rows[i]],
                                             np.concatenate([upstream[i] for i in on]))
         term = [i for i in on for _ in rows[i]]
-        keys, grads = sum_rows([(term[use], tok) for use, tok in keys], grads)
-        weight = np.array([1.0 / n_fit if i < n_fits else lam / n_pen for i, _ in keys])
-        gradient = dict(zip(*sum_rows([tok for _, tok in keys], weight[:, None] * grads)))
+        keys, grads = sum_rows([term[k >> 32] << 32 | k & _TOKEN for k in keys], grads)
+        w_fit, w_pen = 1.0 / n_fit, lam / n_pen if n_pen else 0.0
+        weight = np.array([w_fit if k >> 32 < n_fits else w_pen for k in keys])
+        keys, grads = sum_rows([k & _TOKEN for k in keys], weight[:, None] * grads)
+        gradient = SparseGradient(np.array(keys, dtype=np.int64), grads)
     return LossValue(erm, penalty, erm + lam * penalty, gradient, n_penalty_terms=n_pen,
                      n_skipped_penalty=skipped + len(terms) - n_fits - n_pen,
                      n_skipped_examples=n_fits - n_fit)

@@ -30,6 +30,7 @@ from .objectives import (
     ContrastiveExample,
     RegularizerConfig,
     ScoredExample,
+    SparseGradient,
     build_itvaug,
     total_loss,
 )
@@ -124,59 +125,62 @@ def mine_negatives(
     for j, ex in enumerate(batch):
         if z_ok[j]:
             item_row.setdefault(ex.item_id, j)
+    cands = sorted(item_row)  # the candidate columns, ids ascending
+    col = {iid: c for c, iid in enumerate(cands)}
+    off = [(i, col[iid]) for i, ex in enumerate(batch)
+           for iid in col.keys() & {ex.item_id, *relevant.get(ex.query_id, ())}]
+    allowed = np.ones((len(batch), len(cands)), dtype=bool)
+    allowed[tuple(np.array(off, dtype=np.intp).reshape(-1, 2).T)] = False
+    allowed[~q_ok] = False
+    has = allowed.any(axis=1).tolist()
+    if not any(has):  # also no candidate column at all
+        return [None] * len(batch)
 
-    rng = np.random.default_rng(seed)
-    out: list[tuple[str, Sentence] | None] = []
-    for i, ex in enumerate(batch):
-        rel = relevant.get(ex.query_id, frozenset())
-        cands = sorted(
-            iid for iid in item_row
-            if iid != ex.item_id and iid not in rel
-        )
-        if not cands or not q_ok[i]:
-            out.append(None)
-            continue
-        if strategy == "in-batch-hardest":
-            sims = row_dots(z[[item_row[c] for c in cands]], q[i])
-            # cands are id-sorted and argmax keeps the first maximum, so ties
-            # go to the smallest id
-            pick = cands[int(np.argmax(sims))]
-        else:
-            pick = cands[int(rng.integers(len(cands)))]
-        out.append((pick, batch[item_row[pick]].z_pos))
-    return out
+    if strategy == "in-batch-hardest":
+        sims = row_dots(z[[item_row[c] for c in cands]], q[:, None])
+        # Columns are id-sorted and argmax keeps the first maximum, so ties go
+        # to the smallest id; a masked column scores -inf, below any cosine.
+        pick = np.where(allowed, sims, -np.inf).argmax(axis=1).tolist()
+    else:
+        rng = np.random.default_rng(seed)
+        pick = [int(np.flatnonzero(row)[rng.integers(np.count_nonzero(row))]) if h else 0
+                for row, h in zip(allowed, has)]
+    return [(cands[c], batch[item_row[cands[c]]].z_pos) if h else None
+            for c, h in zip(pick, has)]
 
 
 class _SparseAdam:
-    """Adam whose moment entries exist only for rows that took a gradient;
-    bias correction counts each row's own updates."""
+    """Adam over dense moment tables whose rows move only when they take a
+    gradient; bias correction counts each row's own updates."""
 
     def __init__(self, lr: float, beta1: float, beta2: float, eps: float) -> None:
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m: dict[int, np.ndarray] = {}
-        self.v: dict[int, np.ndarray] = {}
-        self.t: dict[int, int] = {}
+        self.m: np.ndarray | None = None  # (V, d), made at the first step
+        self.v: np.ndarray | None = None
+        self.t: np.ndarray | None = None  # per-row update count
 
     def step(self, table: np.ndarray, grads: Mapping[int, np.ndarray]) -> None:
-        for tok in sorted(grads):
-            g = grads[tok]
-            t = self.t.get(tok, 0) + 1
-            self.t[tok] = t
-            m = self.m.get(tok)
-            v = self.v.get(tok)
-            if m is None:
-                m = np.zeros_like(g)
-                v = np.zeros_like(g)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.m[tok] = m
-            self.v[tok] = v
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            table[tok] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if not len(grads):
+            return
+        if not isinstance(grads, SparseGradient):
+            grads = SparseGradient.of(grads)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(table), np.zeros_like(table)
+            self.t = np.zeros(len(table), dtype=np.int64)
+        ids, g = grads.ids, grads.rows
+        t = self.t[ids] + 1
+        self.t[ids] = t
+        m = self.beta1 * self.m[ids] + (1.0 - self.beta1) * g
+        v = self.beta2 * self.v[ids] + (1.0 - self.beta2) * (g * g)
+        self.m[ids] = m
+        self.v[ids] = v
+        # Python's ** per row: np.power rounds some of these powers differently.
+        m_hat = m / np.array([1.0 - self.beta1 ** k for k in t.tolist()])[:, None]
+        v_hat = v / np.array([1.0 - self.beta2 ** k for k in t.tolist()])[:, None]
+        table[ids] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _chunk(order: np.ndarray, size: int) -> list[np.ndarray]:

@@ -211,6 +211,35 @@ class TestErrorContract:
         ])
         assert "NAME=CHECKPOINT" in err["error"]
 
+    def test_empty_k_list_fails(self, pipeline, tmp_path):
+        root, _ = pipeline
+        err = run_fail([
+            "eval", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+            "--checkpoint", str(root / "itv.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", str(tmp_path / "r.json"), "--ks", "",
+        ])
+        assert err["error"] == "empty k list"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-1"])
+    def test_bins_below_one_fail(self, pipeline, tmp_path, bins):
+        root, _ = pipeline
+        err = run_fail([
+            "eval", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+            "--checkpoint", str(root / "itv.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", str(tmp_path / "r.json"), "--bins", bins,
+        ])
+        assert err["error"] == f"n_bins must be >= 1, got {bins}"
+        assert not (tmp_path / "r.json").exists()
+        err = run_fail([
+            "sweep", "--iid", str(root / "data" / "iid_eval.jsonl"),
+            "--pool", str(root / "data" / "ood_eval.jsonl"),
+            "--vocab", str(root / "vocab.tsv"), "--model", f"base={root / 'base.ckpt'}",
+            "--bins", bins, "--out", str(tmp_path / "s.csv"),
+        ])
+        assert err["error"] == f"n_bins must be >= 1, got {bins}"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_bad_fraction_list(self, pipeline, tmp_path):
         root, _ = pipeline
         err = run_fail([

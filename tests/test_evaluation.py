@@ -351,6 +351,21 @@ class TestEvaluate:
         assert weighted / mass_total == pytest.approx(report.precision_at[1],
                                                       abs=1e-12)
 
+    def test_quantile_p1_does_not_depend_on_feasible_ks(self):
+        # top-1 always exists, so a k list with no feasible k keeps the P@1 bins
+        corpus, model = _eval_corpus_and_model(seed=3)
+        ref = evaluate(model, corpus, ks=(1,), n_bins=3)
+        assert any(ref.quantile_p1.values())
+        report = evaluate(model, corpus, ks=(10**6,), n_bins=3)
+        assert report.precision_at == {10**6: None}
+        assert report.quantile_p1 == ref.quantile_p1
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_bin_count_below_one_rejected(self, n_bins):
+        corpus, model = _eval_corpus_and_model(seed=1)
+        with pytest.raises(EvalError, match=f"n_bins must be >= 1, got {n_bins}"):
+            evaluate(model, corpus, ks=(1,), n_bins=n_bins)
+
     def test_auc_matches_hand_built_pair_list(self):
         corpus, model = _eval_corpus_and_model(seed=2)
         report = evaluate(model, corpus, ks=(1,), n_bins=2)

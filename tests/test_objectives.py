@@ -405,6 +405,22 @@ class TestTotalLoss:
         assert lv.n_penalty_terms == len(expected)
         assert lv.penalty == pytest.approx(np.mean(expected), abs=1e-12)
 
+    def test_penalty_mean_adds_the_terms_in_order(self):
+        # The mean is the left-to-right float sum of the one-term values over
+        # their count, as the erm mean is, not a compensated sum(), which
+        # Python 3.12 and later would round differently.
+        theta = random_model(8, 4, np.random.default_rng(7))
+        theta0 = random_model(8, 4, np.random.default_rng(8), frozen=True)
+        batch = _scored_batch(8, np.random.default_rng(57), 24, seed=79)
+        lv = total_loss(theta, theta0, batch, RegularizerConfig(kind="itvreg"))
+        sentences = [s for ex in batch.examples for s in (ex.x, ex.z)]
+        in_order = 0.0
+        for flat, sent in enumerate(sentences):
+            xp = mask_fraction(sent, 0.5, intervention_seed(batch.seed, flat))
+            in_order += itvreg_penalty(theta, theta0, sent, xp).total
+        assert lv.n_penalty_terms == len(sentences)
+        assert lv.penalty == in_order / lv.n_penalty_terms
+
     def test_short_sentences_are_skipped_not_zeroed(self):
         theta = random_model(8, 4, np.random.default_rng(5))
         theta0 = random_model(8, 4, np.random.default_rng(6), frozen=True)

@@ -1,7 +1,9 @@
 """Property tests: the batched forward against ``encode``, the batched and
 one-row backwards against the per-sentence reference in ``reference.py``,
-masking bounds, partial AUC against a brute-force threshold sweep, and
-rankings and reports through the catalogue memo against per-item encodes."""
+the array Adam and the one-matrix miner against their per-row references
+there, masking bounds, partial AUC against a brute-force threshold sweep,
+and rankings and reports through the catalogue memo against per-item
+encodes."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from matchlab import (  # noqa: E402
     EmbeddingModel,
     EncodeError,
     EvalError,
+    MiningExample,
     Pair,
     auc_partial,
     encode,
@@ -26,10 +29,13 @@ from matchlab import (  # noqa: E402
     encode_batch,
     evaluate,
     mask_fraction,
+    mine_negatives,
     rank_items,
     row_dots,
 )
 from matchlab.encoder import encode_batch_backward  # noqa: E402
+from matchlab.objectives import SparseGradient  # noqa: E402
+from matchlab.trainer import _SparseAdam  # noqa: E402
 
 import reference  # noqa: E402
 from conftest import make_vocab, model_from_rows  # noqa: E402
@@ -110,7 +116,8 @@ def test_batched_backward_is_encode_backward_bit_for_bit(case):
     keys, grads = encode_batch_backward(result, np.array([uses[i] for i in used], dtype=np.intp),
                                         upstream[used])
     got: dict[int, dict[int, bytes]] = {}
-    for (k, tok), row in zip(keys, grads):
+    for key, row in zip(keys, grads):
+        k, tok = divmod(key, 1 << 32)  # key = use << 32 | token
         got.setdefault(k, {})[tok] = row.tobytes()
     for k, i in enumerate(used):
         row = uses[i]
@@ -134,6 +141,100 @@ def test_row_dots_is_one_dot_per_row(case):
         assert row_dots(emb, q).tobytes() == expected.tobytes()
     expected = np.array([float(r @ r) for r in emb])
     assert row_dots(emb, emb).tobytes() == expected.tobytes()
+    # broadcast leading axes: entry (i, j) is row j dotted with row i
+    expected = np.array([[float(r @ q) for r in emb] for q in emb]).reshape(len(emb), len(emb))
+    assert row_dots(emb, emb[:, None]).tobytes() == expected.tobytes()
+
+
+@st.composite
+def adam_runs(draw):
+    """Adam settings (lr = 0 included), a table, a start state in which some
+    rows already took up to 5,000 updates, and a few steps of sparse
+    gradients: empty steps, rows repeated across steps, signed zeros."""
+    v, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    row = st.lists(entry, min_size=d, max_size=d)
+    settings_ = (draw(st.sampled_from([0.0, 1e-3, 0.01, 0.5])),
+                 draw(st.sampled_from([0.0, 0.5, 0.9])),
+                 draw(st.sampled_from([0.0, 0.9, 0.999])),
+                 draw(st.sampled_from([1e-8, 1e-3])))
+    table = np.array(draw(st.lists(row, min_size=v, max_size=v)))
+    t = draw(st.lists(st.integers(0, 5000) | st.just(0), min_size=v, max_size=v))
+    # a row that took no update has the zero moments a fresh row starts from
+    taken = (np.array(t) > 0)[:, None]
+    m = np.where(taken, draw(st.lists(row, min_size=v, max_size=v)), 0.0)
+    sq = np.where(taken, np.abs(draw(st.lists(row, min_size=v, max_size=v))), 0.0)
+    steps = draw(st.lists(st.dictionaries(st.integers(0, v - 1), row.map(np.array), max_size=v),
+                          max_size=5))
+    return settings_, table, t, m, sq, steps
+
+
+@PROPERTY
+@given(adam_runs())
+def test_array_adam_is_the_per_row_adam_bit_for_bit(case):
+    settings_, table, t, m, v, steps = case
+    ref, adam = reference.SparseAdam(*settings_), _SparseAdam(*settings_)
+    ref.t = {tok: k for tok, k in enumerate(t) if k}
+    ref.m = {tok: m[tok].copy() for tok in ref.t}
+    ref.v = {tok: v[tok].copy() for tok in ref.t}
+    adam.t, adam.m, adam.v = np.array(t, dtype=np.int64), m.copy(), v.copy()
+    ref_table, got = table.copy(), table.copy()
+    for n, grads in enumerate(steps):
+        ref.step(ref_table, grads)
+        # the kernel's gradient and a plain {id: row} dict read alike
+        adam.step(got, SparseGradient.of(grads) if n % 2 else grads)
+        assert got.tobytes() == ref_table.tobytes()
+    for tok in range(len(table)):
+        assert adam.t[tok] == ref.t.get(tok, 0)
+        if tok in ref.t:
+            assert adam.m[tok].tobytes() == ref.m[tok].tobytes()
+            assert adam.v[tok].tobytes() == ref.v[tok].tobytes()
+
+
+def test_array_adam_bias_correction_at_every_step_count_to_5000():
+    # np.power(0.999, t) rounds apart from Python's 0.999 ** t at some of these
+    # counts, so each row's correction must use Python's **.
+    rng = np.random.default_rng(0)
+    t = np.arange(5000)
+    m, v = rng.normal(size=(5000, 2)), rng.uniform(size=(5000, 2))
+    m[0] = v[0] = 0.0  # row 0 takes its first update
+    ref, adam = reference.SparseAdam(0.01, 0.9, 0.999, 1e-8), _SparseAdam(0.01, 0.9, 0.999, 1e-8)
+    ref.t = {tok: int(k) for tok, k in enumerate(t) if k}
+    ref.m, ref.v = {tok: m[tok].copy() for tok in ref.t}, {tok: v[tok].copy() for tok in ref.t}
+    adam.t, adam.m, adam.v = t.copy(), m.copy(), v.copy()
+    grads = dict(enumerate(rng.normal(size=(5000, 2))))
+    ref_table, got = np.zeros((5000, 2)), np.zeros((5000, 2))
+    ref.step(ref_table, grads)
+    adam.step(got, grads)
+    assert got.tobytes() == ref_table.tobytes()
+
+
+@st.composite
+def mining_batches(draw):
+    """Mining batches over a model whose later rows negate earlier ones (so
+    some sentences do not encode), item ids from a small pool (an id recurs,
+    possibly with another sentence), repeated sentences (exact ties) and
+    random relevant sets."""
+    dim = draw(st.integers(2, 4))
+    base = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    model = model_from_rows(base + [[-x for x in r] for r in base[:draw(st.integers(0, len(base)))]])
+    sentence = st.lists(st.integers(1, model.vocab_size - 1), min_size=1, max_size=4).map(tuple)
+    pool = draw(st.lists(sentence, min_size=1, max_size=4))
+    pick = st.sampled_from(pool) | sentence
+    qids, iids = ["q0", "q1", "q2", "q3"], ["i0", "i1", "i2", "i3", "i4"]
+    batch = draw(st.lists(st.builds(MiningExample, st.sampled_from(qids), pick,
+                                    st.sampled_from(iids), pick), min_size=2, max_size=8))
+    relevant = draw(st.dictionaries(st.sampled_from(qids),
+                                    st.frozensets(st.sampled_from(iids), max_size=3)))
+    strategy = draw(st.sampled_from(["in-batch-hardest", "in-batch-random"]))
+    return model, batch, relevant, strategy, draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(mining_batches())
+def test_one_matrix_mining_is_the_per_example_miner(case):
+    model, batch, relevant, strategy, seed = case
+    assert (mine_negatives(model, batch, relevant, strategy, seed)
+            == reference.mine_negatives(model, batch, relevant, strategy, seed))
 
 
 @PROPERTY
