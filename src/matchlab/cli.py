@@ -1,9 +1,10 @@
 """Command-line pipeline: generate, split, pretrain, train, evaluate, sweep,
 and inspect token importance.
 
-Every subcommand accepts --config (a flat JSON file of flag values; explicit
-flags win) and embeds a digest of the resolved configuration in its outputs so
-runs can be traced back to their settings.
+Every subcommand accepts --config (a flat JSON file of flag values, read as
+those flags placed before the command line's own) and embeds a digest of the
+resolved configuration in its outputs so runs can be traced back to their
+settings.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .trainer import (
     LOSS_KINDS,
     NEGATIVE_STRATEGIES,
     TrainConfig,
+    TrainRun,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -84,52 +86,26 @@ def _ks(text: str) -> list[int]:
     return ks
 
 
-def _apply_config(ns: argparse.Namespace, actions: dict[str, argparse.Action],
-                  argv: list[str] | None) -> None:
-    """Overlay a flat JSON config; flags given on the command line keep their
-    value, even when it equals the default."""
-    if not ns.config:
-        return
+def _config_flags(path: str, actions: dict[str, argparse.Action]) -> list[str]:
+    """A flat JSON config read as the flags it stands for, in `--flag=value`
+    form so that a value such as "-x" stays a value."""
     try:
-        cfg = json.loads(Path(ns.config).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"could not read config {ns.config}: {exc}") from None
+        raise CliError(f"could not read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object of flag values")
-    explicit = _explicit_flags(argv, ns.command)
+    flags = []
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise CliError(f"config key {key!r} is not a flag of this subcommand")
-        if attr not in explicit:
-            setattr(ns, attr, _config_value(actions[attr], key, value))
-
-
-def _explicit_flags(argv: list[str] | None, command: str) -> set[str]:
-    """Dests given on the command line: a second parse, on a fresh parser, in
-    which no flag of the subcommand has a default, so only the given ones land
-    in the namespace."""
-    parser = build_parser()
-    for action in _subcommand_actions(parser, command).values():
-        action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _config_value(action: argparse.Action, key: str, value):
-    """A config value converted and checked as argparse converts and checks
-    the same text given as a flag."""
-    if value is None and action.default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise CliError(f"config key {key!r} has invalid value {value!r}")
-    try:
-        converted = action.type(str(value)) if action.type else str(value)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        raise CliError(f"config key {key!r} has invalid value {value!r}") from None
-    if action.choices is not None and converted not in action.choices:
-        raise CliError(f"config key {key!r} has invalid choice {value!r} "
-                       f"(choose from {', '.join(map(str, action.choices))})")
-    return converted
+        if value is None and action.default is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise CliError(f"config key {key!r} has invalid value {value!r}")
+        flags.append(f"{action.option_strings[0]}={value}")
+    return flags
 
 
 def _resolved(ns: argparse.Namespace) -> tuple[dict, str]:
@@ -219,26 +195,35 @@ def cmd_split(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pretrain_base(ns: argparse.Namespace) -> int:
-    corpus = load_corpus(ns.corpus)
-    vocab = build_vocab(corpus, min_freq=ns.min_freq)
-    theta_init = init_model(vocab, dim=ns.dim, seed=ns.seed)
+def _fit(ns: argparse.Namespace, corpus, theta_init, theta0,
+         regularizer: RegularizerConfig) -> tuple[TrainRun, TrainConfig, str]:
+    """Train with the common training flags, then write the checkpoint, its
+    config sidecar and the optional loss trace."""
     config = TrainConfig(
         loss_kind=ns.loss,
-        regularizer=RegularizerConfig(kind="none"),
+        regularizer=regularizer,
         epochs=_resolve_epochs(ns),
         batch_size=ns.batch_size,
         learning_rate=ns.lr,
         seed=ns.seed,
         negative_strategy=ns.negatives,
     )
-    # No anchor exists yet; train against a frozen copy of the init.
-    run = train(corpus, theta_init, theta_init.copy(frozen=True), config)
+    run = train(corpus, theta_init, theta0, config)
     save_checkpoint(run.theta, ns.out)
-    vocab.save(ns.vocab_out)
     digest = _write_config_sidecar(ns, Path(str(ns.out) + ".config.json"))
     if ns.trace_out:
         write_loss_trace(run, ns.trace_out, header_comment=f"config_digest={digest}")
+    return run, config, digest
+
+
+def cmd_pretrain_base(ns: argparse.Namespace) -> int:
+    corpus = load_corpus(ns.corpus)
+    vocab = build_vocab(corpus, min_freq=ns.min_freq)
+    theta_init = init_model(vocab, dim=ns.dim, seed=ns.seed)
+    # No anchor exists yet; train against a frozen copy of the init.
+    run, config, digest = _fit(ns, corpus, theta_init, theta_init.copy(frozen=True),
+                               RegularizerConfig(kind="none"))
+    vocab.save(ns.vocab_out)
     print(json.dumps({
         "checkpoint": str(ns.out),
         "vocab": str(ns.vocab_out),
@@ -258,20 +243,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         theta_init = theta0.copy()
     else:
         theta_init = init_model(vocab, dim=theta0.dim, seed=ns.seed)
-    config = TrainConfig(
-        loss_kind=ns.loss,
-        regularizer=_regularizer_from_flags(ns),
-        epochs=_resolve_epochs(ns),
-        batch_size=ns.batch_size,
-        learning_rate=ns.lr,
-        seed=ns.seed,
-        negative_strategy=ns.negatives,
-    )
-    run = train(corpus, theta_init, theta0, config)
-    save_checkpoint(run.theta, ns.out)
-    digest = _write_config_sidecar(ns, Path(str(ns.out) + ".config.json"))
-    if ns.trace_out:
-        write_loss_trace(run, ns.trace_out, header_comment=f"config_digest={digest}")
+    run, config, digest = _fit(ns, corpus, theta_init, theta0,
+                               _regularizer_from_flags(ns))
     print(json.dumps({
         "checkpoint": str(ns.out),
         "epochs": config.epochs,
@@ -370,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", default=None,
-                       help="flat JSON file of flag values; explicit flags win")
+                       help="flat JSON file of flag values, read as flags "
+                            "placed before the command line's")
         return p
 
     p = add("synth", "generate the synthetic spurious-correlation benchmark")
@@ -480,10 +454,16 @@ def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(ns, _subcommand_actions(parser, ns.command), argv)
+        if ns.config:
+            flags = _config_flags(ns.config, _subcommand_actions(parser, ns.command))
+            try:  # the last occurrence of a flag wins, so typed flags beat the config
+                ns = parser.parse_args([ns.command, *flags, *argv[1:]])
+            except SystemExit as exc:  # a rejected config value, already printed
+                return exc.code
         return ns.func(ns)
     except (CliError, CorpusError, ValueError, RuntimeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -193,7 +193,8 @@ def evaluate(
     highest-frequency ground-truth item (ties toward the smaller id); queries
     with no ground truth occupy the reserved bin -1, so the mass-weighted bin
     means recompose the overall P@1. AUC(fpr<=0.05) is computed over labeled
-    pairs when both label classes are present, else null.
+    pairs when both label classes are present, else null. n_bins may not
+    exceed the item count.
     """
     if not corpus.queries:
         raise EvalError("corpus has no queries")
@@ -213,7 +214,6 @@ def evaluate(
 
     relevant = corpus.relevant_by_query()
     pair_counts = corpus.item_pair_counts()
-    bins = item_frequency_quantiles(corpus, n_bins) if n_bins <= len(corpus.items) else None
 
     feasible = [k for k in ks if k <= len(item_ids)]
     p_sums = dict.fromkeys(feasible, 0.0)
@@ -228,6 +228,9 @@ def evaluate(
         i = int(np.argmin(q.ok))  # the first query that fails
         exc = encode_error(theta, q_sents[i], q.norms[i])
         raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
+    if n_bins > len(corpus.items):
+        raise EvalError(f"n_bins={n_bins} exceeds item count {len(corpus.items)}")
+    bins = item_frequency_quantiles(corpus, n_bins)
     q_scores = {qid: row_dots(item_matrix, row) for qid, row in zip(qids, q.embeddings)}
     for qid, scores in q_scores.items():
         order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id
@@ -238,7 +241,7 @@ def evaluate(
         p1 = 1.0 if item_ids[order[0]] in rel else 0.0  # top-1 exists whatever ks holds
         if rel:
             anchor = min(rel, key=lambda i: (-pair_counts.get(i, 0), i))
-            b = bins[anchor] if bins is not None else 0
+            b = bins[anchor]
         else:
             n_no_truth += 1
             b = NO_TRUTH_BIN

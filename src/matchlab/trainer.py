@@ -287,11 +287,7 @@ def train(
 
             if not examples:
                 continue
-            aug = (
-                [aug_pairs[i] for i in aug_slices[b_idx]]
-                if aug_pairs and b_idx < len(aug_slices)
-                else []
-            )
+            aug = [aug_pairs[i] for i in aug_slices[b_idx]] if aug_pairs else []
             try:
                 lv = total_loss(theta, theta0, Batch(examples, batch_seed, aug),
                                 config.regularizer)

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from matchlab import load_corpus
 from matchlab.cli import _resolve_epochs, build_parser, main
 
 
@@ -240,6 +241,18 @@ class TestErrorContract:
         assert err["error"] == f"n_bins must be >= 1, got {bins}"
         assert not (tmp_path / "s.csv").exists()
 
+    def test_bins_above_item_count_fail(self, pipeline, tmp_path):
+        root, _ = pipeline
+        corpus = root / "data" / "iid_eval.jsonl"
+        n_items = len(load_corpus(corpus).items)
+        err = run_fail([
+            "eval", "--corpus", str(corpus),
+            "--checkpoint", str(root / "itv.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", str(tmp_path / "r.json"), "--bins", str(n_items + 1),
+        ])
+        assert err["error"] == f"n_bins={n_items + 1} exceeds item count {n_items}"
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_fraction_list(self, pipeline, tmp_path):
         root, _ = pipeline
         err = run_fail([
@@ -315,6 +328,82 @@ class TestConfigOverlay:
             "--config", str(cfg),
         ])
         assert "warp_drive" in err["error"]
+
+    def _eval(self, root, out, *flags):
+        return run_ok([
+            "eval", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+            "--checkpoint", str(root / "itv.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", str(out), "--bins", "1", *flags,
+        ])
+
+    def test_config_value_that_looks_like_a_flag_stays_a_value(self, pipeline, tmp_path):
+        root, _ = pipeline
+        (tmp_path / "cfg.json").write_text(json.dumps({"split_tag": "-x"}))
+        report = self._eval(root, tmp_path / "r.json", "--config", str(tmp_path / "cfg.json"))
+        assert report["split"] == "-x"
+
+    def test_abbreviated_typed_flag_beats_config(self, pipeline, tmp_path):
+        root, _ = pipeline
+        (tmp_path / "cfg.json").write_text(json.dumps({"bins": 3}))
+        report = self._eval(root, tmp_path / "r.json",
+                            "--config", str(tmp_path / "cfg.json"), "--bin", "2")
+        assert report["config_digest"] == self._eval(root, tmp_path / "r.json",
+                                                     "--bins", "2")["config_digest"]
+
+    def test_null_keeps_a_none_default_and_is_rejected_elsewhere(self, pipeline, tmp_path):
+        root, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"csv": None}))
+        report = self._eval(root, tmp_path / "r.json", "--config", str(cfg))
+        assert report["config_digest"] == self._eval(root, tmp_path / "r.json")["config_digest"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json", "r.json"]
+        cfg.write_text(json.dumps({"split_tag": None}))
+        err = run_fail([
+            "eval", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+            "--checkpoint", str(root / "itv.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", str(tmp_path / "r2.json"), "--config", str(cfg),
+        ])
+        assert err["error"] == "config key 'split_tag' has invalid value None"
+        assert not (tmp_path / "r2.json").exists()
+
+    def test_sweep_config_model_is_added_ahead_of_typed_models(self, pipeline, tmp_path):
+        root, _ = pipeline
+        base, itv = f"base={root / 'base.ckpt'}", f"itv={root / 'itv.ckpt'}"
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": base}))
+
+        def sweep(*flags):
+            return run_ok([
+                "sweep", "--iid", str(root / "data" / "iid_eval.jsonl"),
+                "--pool", str(root / "data" / "ood_eval.jsonl"),
+                "--vocab", str(root / "vocab.tsv"), "--fractions", "0", "--ks", "1",
+                "--bins", "1", "--out", str(tmp_path / "s.csv"), *flags,
+            ])
+
+        out = sweep("--config", str(tmp_path / "cfg.json"), "--model", itv)
+        assert out["models"] == ["base", "itv"]
+        assert out["config_digest"] == sweep("--model", base, "--model", itv)["config_digest"]
+        assert out["config_digest"] != sweep("--model", itv, "--model", base)["config_digest"]
+
+    def test_config_run_matches_flag_run_byte_for_byte(self, pipeline, tmp_path, monkeypatch):
+        root, _ = pipeline
+        values = {"reg": "maskreg", "reg-lambda": 0.2, "mask_fraction": 0.25,
+                  "epochs": 2, "lr": 0.01, "batch_size": 8, "seed": 3}
+        (tmp_path / "cfg.json").write_text(json.dumps(values))
+        flags = [x for k, v in values.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+        common = [
+            "train", "--corpus", str(root / "data" / "train.jsonl"),
+            "--base", str(root / "base.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", "m.ckpt", "--trace-out", "trace.csv",
+        ]
+        digests = []
+        for name, extra in (("flags", flags), ("config", ["--config", str(tmp_path / "cfg.json")])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            digests.append(run_ok(common + extra)["config_digest"])
+        assert digests[0] == digests[1]
+        for rel in ("m.ckpt", "m.ckpt.config.json", "trace.csv"):
+            assert (tmp_path / "flags" / rel).read_bytes() == \
+                (tmp_path / "config" / rel).read_bytes()
 
 
 class TestDefaultsAndDigests:

@@ -366,6 +366,13 @@ class TestEvaluate:
         with pytest.raises(EvalError, match=f"n_bins must be >= 1, got {n_bins}"):
             evaluate(model, corpus, ks=(1,), n_bins=n_bins)
 
+    @pytest.mark.parametrize("n_bins", [7, 100])
+    def test_bin_count_above_item_count_rejected(self, n_bins):
+        corpus, model = _eval_corpus_and_model(seed=3)
+        assert len(corpus.items) == 6
+        with pytest.raises(EvalError, match=f"n_bins={n_bins} exceeds item count 6"):
+            evaluate(model, corpus, ks=(1,), n_bins=n_bins)
+
     def test_auc_matches_hand_built_pair_list(self):
         corpus, model = _eval_corpus_and_model(seed=2)
         report = evaluate(model, corpus, ks=(1,), n_bins=2)
