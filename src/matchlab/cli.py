@@ -20,7 +20,6 @@ from .corpus import (
     SplitSpec,
     Vocab,
     build_vocab,
-    interpolate_ood,
     load_corpus,
     most_frequent_categories,
     split_by_category,
@@ -33,7 +32,6 @@ from .evaluation import (
     sweep_interpolation,
     write_report_csv,
     write_report_json,
-    write_quantile_csv,
     write_sweep_csv,
 )
 from .interventions import (
@@ -279,6 +277,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         if "=" not in spec:
             raise CliError(f"--model needs NAME=CHECKPOINT, got {spec!r}")
         name, ckpt = spec.split("=", 1)
+        if name in sweeps:
+            raise CliError(f"--model name {name!r} given twice")
         theta = load_checkpoint(ckpt, vocab)
         sweeps[name] = sweep_interpolation(
             theta, iid_c, pool_c, fractions, ns.seed, ks=_ks(ns.ks), n_bins=ns.bins
@@ -453,17 +453,31 @@ def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
     return {a.dest: a for a in sub._actions if a.dest != "help"}
 
 
+def _command_line(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """The command line parsed alone, with required flags left to the full
+    parse so that a config can supply them."""
+    required = [a for sub in parser._subparsers._group_actions[0].choices.values()
+                for a in sub._actions if a.required]
+    for action in required:
+        action.required = False
+    try:
+        return parser.parse_args(argv)
+    finally:
+        for action in required:
+            action.required = True
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _command_line(parser, argv)
     try:
-        if ns.config:
-            flags = _config_flags(ns.config, _subcommand_actions(parser, ns.command))
-            try:  # the last occurrence of a flag wins, so typed flags beat the config
-                ns = parser.parse_args([ns.command, *flags, *argv[1:]])
-            except SystemExit as exc:  # a rejected config value, already printed
-                return exc.code
+        flags = (_config_flags(ns.config, _subcommand_actions(parser, ns.command))
+                 if ns.config else [])
+        try:  # the last occurrence of a flag wins, so typed flags beat the config
+            ns = parser.parse_args([ns.command, *flags, *argv[1:]])
+        except SystemExit as exc:  # a missing flag or a rejected value, already printed
+            return exc.code
         return ns.func(ns)
     except (CliError, CorpusError, ValueError, RuntimeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -79,6 +79,13 @@ class EmbeddingModel:
         return hashlib.sha256(np.ascontiguousarray(self.table).tobytes()).hexdigest()
 
 
+def check_shared_vocab(a: EmbeddingModel, b: EmbeddingModel) -> None:
+    """Raise VocabMismatchError unless ``a`` and ``b`` share a vocabulary: the
+    same object, or an equal one."""
+    if a.vocab is not b.vocab and a.vocab != b.vocab:
+        raise VocabMismatchError("theta and theta0 must share a vocabulary")
+
+
 @dataclass
 class EncodeResult:
     """One forward pass. ``keep`` (None for a plain view) and ``rate`` let the
@@ -248,32 +255,30 @@ def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.
                              np.array([np.linalg.norm(result.prenorm_sum)]),
                              [result.token_ids], [result.rate],
                              None if result.keep is None else result.keep[None])
-    keys, grads = encode_batch_backward(view, [0], upstream[None])
-    return dict(zip(keys, grads))  # use 0: a key is its token id
+    return dict(zip(*encode_batch_backward(view, [0], upstream[None])))
 
 
 def encode_batch_backward(
     result: BatchEncodeResult, rows: Sequence[int], upstream: np.ndarray
 ) -> tuple[list[int], np.ndarray]:
-    """Per use i, the gradient of ``upstream[i]`` dotted with embedding row
-    ``rows[i]``: the keys ``i << 32 | token id`` in use order and their
-    gradient rows."""
+    """Gradient of the sum over uses i of ``upstream[i]`` dotted with embedding
+    row ``rows[i]``: the token ids in order of first appearance and one
+    gradient row each. Use by use, a plain view adds each distinct id's count
+    times the use's projected row, ids ascending; a dropout view adds, per
+    occurrence, that row masked by the occurrence's keep row. One
+    :func:`sum_rows` adds every contribution in that order onto -0.0."""
     u = result.embeddings.take(rows, axis=0)
     g = (upstream - u * row_dots(u, upstream)[:, None]) / result.norms.take(rows)[:, None]
     uses, tokens, count, occurrence = [], [], [], []  # occurrence: (view row, position)
     for i, r in enumerate(rows):
-        # A plain view's id takes its count times the row; each occurrence in
-        # a dropout view takes the row masked by its own keep row.
         s = result.sentences[r]
         ids = s if result.rates[r] else sorted(set(s))
         uses += repeat(i, len(ids))
         tokens += ids
         count += [1] * len(s) if result.rates[r] else map(s.count, ids)
         occurrence += zip(repeat(r), range(len(ids)))  # a plain row's keep is all True
-    keys = [i << 32 | tok for i, tok in zip(uses, tokens)]
     grads = np.array(count)[:, None] * g.take(uses, axis=0)
-    if result.keep is None:
-        return keys, grads  # a plain view names each id once
-    row, j = np.array(occurrence, dtype=np.intp).reshape(-1, 2).T
-    grads = result.keep[row, j] * grads / (1.0 - np.array(result.rates))[row, None]
-    return sum_rows(keys, grads)
+    if result.keep is not None:
+        row, j = np.array(occurrence, dtype=np.intp).reshape(-1, 2).T
+        grads = result.keep[row, j] * grads / (1.0 - np.array(result.rates))[row, None]
+    return sum_rows(tokens, grads)

@@ -5,7 +5,6 @@ interpolation sweeps between in-distribution and shifted candidate pools.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence

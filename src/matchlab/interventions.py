@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import Sentence, Tokens
-from .encoder import EmbeddingModel, VocabMismatchError, encode_batch, encode_error, row_dots
+from .encoder import EmbeddingModel, check_shared_vocab, encode_batch, encode_error, row_dots
 
 AMPLIFICATION_FLOOR = 1e-6
 
@@ -82,8 +82,7 @@ class ImportanceReport:
 def importance_report(
     theta: EmbeddingModel, theta0: EmbeddingModel, sentence: Sentence
 ) -> ImportanceReport:
-    if theta.vocab is not theta0.vocab and theta.vocab != theta0.vocab:
-        raise VocabMismatchError("theta and theta0 must share a vocabulary")
+    check_shared_vocab(theta, theta0)
     s = importance_scores(theta, sentence)
     s0 = importance_scores(theta0, sentence)
     amp = [a / max(b, AMPLIFICATION_FLOOR) for a, b in zip(s, s0)]

@@ -34,20 +34,17 @@ from .corpus import Corpus, Sentence
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
-    VocabMismatchError,
+    check_shared_vocab,
     encode_batch,
     encode_batch_backward,
     encode_error,
     row_dots,
-    sum_rows,
 )
 from .interventions import InterventionError, mask_fraction
 
 logger = logging.getLogger(__name__)
 
 REGULARIZER_KINDS = ("none", "outreg", "itvreg", "itvaug", "maskreg", "simcse")
-
-_TOKEN = (1 << 32) - 1  # the token id in the low bits of a gradient key
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,9 @@ def _kernel(
     A term with a view that does not encode is dropped: a penalty term is
     counted as skipped, a fitting term only when its views are degenerate (an
     empty sentence or a bad id raises), and DegenerateNormError is raised when
-    no fitting term remains. The gradient adds each term's views in order,
-    weights the term, then adds the terms in order."""
+    no fitting term remains. Each view's upstream row carries its term's
+    weight, 1/n_fit or lam/n_pen, and the backward adds the views' gradients
+    token by token in term order."""
     views: dict[tuple, int] = {}
     rows = [[views.setdefault(v, len(views)) for v in t.views] for t in terms]
     base: dict[tuple, int] = {}  # anchor rows follow the view rows
@@ -218,8 +216,7 @@ def _kernel(
     enc = encode_batch(theta, *zip(*views))
     emb, good = enc.embeddings, enc.ok.tolist()
     if base:
-        if theta.vocab is not theta0.vocab and theta.vocab != theta0.vocab:
-            raise VocabMismatchError("theta and theta0 must share a vocabulary")
+        check_shared_vocab(theta, theta0)
         enc0 = encode_batch(theta0, list(base))
         emb, good = np.concatenate((emb, enc0.embeddings)), good + enc0.ok.tolist()
     ok = [all(map(good.__getitem__, r)) for r in rows_of]
@@ -234,11 +231,13 @@ def _kernel(
     groups: dict[str, list[int]] = {}
     for i in compress(range(len(terms)), ok):
         groups.setdefault(terms[i].rule, []).append(i)
+    w_fit, w_pen = 1.0 / n_fit, lam / n_pen if n_pen else 0.0
     values = [0.0] * len(terms)
-    upstream: dict[int, np.ndarray] = {}  # a row per view of each term with a gradient
+    upstream: dict[int, np.ndarray] = {}  # a weighted row per view of each term with a gradient
     for rule, idx in groups.items():
         val, up = _rule(rule, emb.take([rows_of[i] for i in idx], axis=0),
                         np.array([terms[i].target for i in idx]))
+        up = up * np.where(np.array(idx) < n_fits, w_fit, w_pen)[:, None, None]
         for i, x, u in zip(idx, val.tolist(), up):
             if rule != "hinge" or not x <= 0.0:  # the hinge's kink and below add nothing
                 values[i], upstream[i] = x, u
@@ -254,16 +253,9 @@ def _kernel(
     if not upstream:
         gradient = SparseGradient(np.zeros(0, dtype=np.int64), np.zeros((0, theta.dim)))
     else:
-        # Integer keys, summed in three passes: use << 32 | token in the
-        # backward, term << 32 | token, then the token after weighting.
         on = sorted(upstream)
         keys, grads = encode_batch_backward(enc, [r for i in on for r in rows[i]],
                                             np.concatenate([upstream[i] for i in on]))
-        term = [i for i in on for _ in rows[i]]
-        keys, grads = sum_rows([term[k >> 32] << 32 | k & _TOKEN for k in keys], grads)
-        w_fit, w_pen = 1.0 / n_fit, lam / n_pen if n_pen else 0.0
-        weight = np.array([w_fit if k >> 32 < n_fits else w_pen for k in keys])
-        keys, grads = sum_rows([k & _TOKEN for k in keys], weight[:, None] * grads)
         gradient = SparseGradient(np.array(keys, dtype=np.int64), grads)
     return LossValue(erm, penalty, erm + lam * penalty, gradient, n_penalty_terms=n_pen,
                      n_skipped_penalty=skipped + len(terms) - n_fits - n_pen,

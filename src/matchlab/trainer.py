@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
@@ -20,7 +20,7 @@ from .corpus import Corpus, Sentence, Vocab
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
-    VocabMismatchError,
+    check_shared_vocab,
     encode_batch,
     row_dots,
 )
@@ -200,8 +200,7 @@ def train(
     Returns the trained model, a per-epoch (erm, penalty, total) trace, and
     skip counts. theta_init and theta0 are never mutated.
     """
-    if theta_init.vocab is not theta0.vocab and theta_init.vocab != theta0.vocab:
-        raise VocabMismatchError("theta_init and theta0 must share a vocabulary")
+    check_shared_vocab(theta_init, theta0)
     if not theta0.frozen:
         raise TrainError("theta0 must be frozen before training against it")
 

@@ -2,13 +2,16 @@
 batched core.
 
 ``encode_backward`` here is the per-sentence backward the package used
-before its only backward became ``encode_batch_backward``; the property
-tests hold the batched backward, and the package's one-row
-``encode_backward``, to it byte for byte. ``SparseAdam`` and
-``mine_negatives`` are the optimizer and the miner as they were before they
-worked on whole arrays: Adam one touched row at a time with per-row moment
-dicts, and mining one example at a time over its id-sorted candidates. The
-property tests hold the trainer's array versions to them byte for byte.
+before its only backward became ``encode_batch_backward``, and
+``encode_batch_backward`` adds its contributions over several uses, one
+flat sum per token id in use order. The property tests hold the batched
+backward to them byte for byte: one use gives the per-sentence rows in the
+per-sentence key order, as the package's one-row ``encode_backward`` must.
+``SparseAdam`` and ``mine_negatives`` are the optimizer and the miner as
+they were before they worked on whole arrays: Adam one touched row at a
+time with per-row moment dicts, and mining one example at a time over its
+id-sorted candidates. The property tests hold the trainer's array versions
+to them byte for byte.
 """
 
 from __future__ import annotations
@@ -41,6 +44,28 @@ def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.
         contrib = keep * g / (1.0 - result.rate)
         grads[tok] = grads[tok] + contrib if tok in grads else contrib
     return grads
+
+
+def encode_batch_backward(views: Sequence[EncodeResult],
+                          upstream: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Gradient of the sum over uses i of upstream[i]^T views[i].embedding:
+    token ids in order of first appearance and one row each, every
+    contribution added in use order onto -0.0. A plain view contributes its
+    count times the projected vector per distinct id, ids ascending; a
+    dropout view contributes the vector masked by each occurrence's keep row.
+    """
+    sums: dict[int, np.ndarray] = {}
+    for view, up in zip(views, upstream):
+        u = view.embedding
+        g = (up - u * (u @ up)) / float(np.linalg.norm(view.prenorm_sum))
+        if view.keep is None:
+            parts = [(tok, cnt * g) for tok, cnt in sorted(Counter(view.token_ids).items())]
+        else:
+            parts = [(tok, keep * g / (1.0 - view.rate))
+                     for keep, tok in zip(view.keep, view.token_ids)]
+        for tok, part in parts:
+            sums[tok] = sums.get(tok, np.full(len(g), -0.0)) + part
+    return list(sums), np.array(list(sums.values())).reshape(len(sums), upstream.shape[1])
 
 
 class SparseAdam:

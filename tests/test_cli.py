@@ -253,6 +253,21 @@ class TestErrorContract:
         assert err["error"] == f"n_bins={n_items + 1} exceeds item count {n_items}"
         assert not (tmp_path / "r.json").exists()
 
+    def test_repeated_sweep_model_name_fails(self, pipeline, tmp_path):
+        root, _ = pipeline
+        base, itv = f"m={root / 'base.ckpt'}", f"m={root / 'itv.ckpt'}"
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": base}))
+        for models in (["--model", base, "--model", itv],
+                       ["--config", str(tmp_path / "cfg.json"), "--model", itv]):
+            err = run_fail([
+                "sweep", "--iid", str(root / "data" / "iid_eval.jsonl"),
+                "--pool", str(root / "data" / "ood_eval.jsonl"),
+                "--vocab", str(root / "vocab.tsv"), *models,
+                "--fractions", "0", "--ks", "1", "--bins", "1", "--out", str(tmp_path / "s.csv"),
+            ])
+            assert err["error"] == "--model name 'm' given twice"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_bad_fraction_list(self, pipeline, tmp_path):
         root, _ = pipeline
         err = run_fail([
@@ -383,6 +398,31 @@ class TestConfigOverlay:
         assert out["models"] == ["base", "itv"]
         assert out["config_digest"] == sweep("--model", base, "--model", itv)["config_digest"]
         assert out["config_digest"] != sweep("--model", itv, "--model", base)["config_digest"]
+
+    def test_config_supplies_required_flags(self, pipeline, tmp_path):
+        root, _ = pipeline
+        paths = {"corpus": str(root / "data" / "iid_eval.jsonl"),
+                 "checkpoint": str(root / "itv.ckpt"), "vocab": str(root / "vocab.tsv"),
+                 "out": str(tmp_path / "r.json"), "bins": "1"}
+        typed = run_ok(["eval", *(x for k, v in paths.items() for x in (f"--{k}", v))])
+        typed_bytes = (tmp_path / "r.json").read_bytes()
+        (tmp_path / "r.json").unlink()
+        (tmp_path / "cfg.json").write_text(json.dumps(paths))
+        assert run_ok(["eval", "--config", str(tmp_path / "cfg.json")]) == typed
+        assert (tmp_path / "r.json").read_bytes() == typed_bytes
+        # a typed required flag still beats the config's
+        (tmp_path / "r.json").unlink()
+        run_ok(["eval", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "t.json")])
+        assert (tmp_path / "t.json").exists() and not (tmp_path / "r.json").exists()
+
+    def test_required_flag_in_neither_place_fails(self, pipeline, tmp_path):
+        root, _ = pipeline
+        (tmp_path / "cfg.json").write_text(json.dumps({"vocab": str(root / "vocab.tsv")}))
+        for extra in ([], ["--config", str(tmp_path / "cfg.json")]):
+            err = run_fail(["eval", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+                            "--checkpoint", str(root / "itv.ckpt"), *extra])
+            missing = "--vocab, --out" if not extra else "--out"
+            assert err["error"] == f"the following arguments are required: {missing}"
 
     def test_config_run_matches_flag_run_byte_for_byte(self, pipeline, tmp_path, monkeypatch):
         root, _ = pipeline

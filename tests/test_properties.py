@@ -113,22 +113,25 @@ def test_batched_backward_is_encode_backward_bit_for_bit(case):
     model, sentences, rates, seeds, uses, upstream = case
     result = encode_batch(model, sentences, rates, seeds)
     used = [i for i, row in enumerate(uses) if result.ok[row]]
-    keys, grads = encode_batch_backward(result, np.array([uses[i] for i in used], dtype=np.intp),
-                                        upstream[used])
-    got: dict[int, dict[int, bytes]] = {}
-    for key, row in zip(keys, grads):
-        k, tok = divmod(key, 1 << 32)  # key = use << 32 | token
-        got.setdefault(k, {})[tok] = row.tobytes()
-    for k, i in enumerate(used):
+    views = []
+    for i in used:
         row = uses[i]
         view = encode(model, sentences[row], rates[row], seeds[row])
         assert result.embeddings[row].tobytes() == view.embedding.tobytes()
+        views.append(view)
+        # one use: the per-sentence rows, keyed in the per-sentence order
         expected = [(tok, g.tobytes())
                     for tok, g in reference.encode_backward(view, upstream[i]).items()]
-        assert got[k] == dict(expected)
-        # the one-row backward: the same rows, keyed in the reference's order
+        keys, grads = encode_batch_backward(result, [row], upstream[i:i + 1])
+        assert [(tok, g.tobytes()) for tok, g in zip(keys, grads)] == expected
         assert [(tok, g.tobytes())
                 for tok, g in encode_backward(view, upstream[i]).items()] == expected
+    # several uses: one flat sum per token in use order
+    keys, grads = encode_batch_backward(result, np.array([uses[i] for i in used], dtype=np.intp),
+                                        upstream[used])
+    ref_keys, ref_grads = reference.encode_batch_backward(views, upstream[used])
+    assert keys == ref_keys
+    assert grads.tobytes() == ref_grads.tobytes()
 
 
 @PROPERTY
