@@ -86,7 +86,8 @@ def _ks(text: str) -> list[int]:
 
 def _config_flags(path: str, actions: dict[str, argparse.Action]) -> list[str]:
     """A flat JSON config read as the flags it stands for, in `--flag=value`
-    form so that a value such as "-x" stays a value."""
+    form so that a value such as "-x" stays a value. A list for a repeatable
+    flag stands for one flag per entry."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -100,9 +101,14 @@ def _config_flags(path: str, actions: dict[str, argparse.Action]) -> list[str]:
             raise CliError(f"config key {key!r} is not a flag of this subcommand")
         if value is None and action.default is None:
             continue
+        flag = action.option_strings[0]
+        if (isinstance(action, argparse._AppendAction) and isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            flags += [f"{flag}={v}" for v in value]
+            continue
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise CliError(f"config key {key!r} has invalid value {value!r}")
-        flags.append(f"{action.option_strings[0]}={value}")
+        flags.append(f"{flag}={value}")
     return flags
 
 

@@ -112,6 +112,8 @@ def load_corpus(path: str | Path) -> Corpus:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path.name}:{lineno}: invalid JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{path.name}:{lineno}: record must be a JSON object")
             kind = rec.get("kind")
             if kind in ("query", "item"):
                 rid = rec.get("id")
@@ -363,16 +365,20 @@ def item_frequency_quantiles(corpus: Corpus, n_bins: int = 5) -> dict[str, int]:
         raise CorpusError(f"n_bins must be >= 1, got {n_bins}")
     if n_bins > n_items:
         raise CorpusError(f"n_bins={n_bins} exceeds item count {n_items}")
+    ids = sorted(corpus.items)
     counts = corpus.item_pair_counts()
-    order = sorted(corpus.items, key=lambda i: (counts[i], i))
-    base, rem = divmod(n_items, n_bins)
-    bins: dict[str, int] = {}
-    pos = 0
-    for b in range(n_bins):
-        size = base + (1 if b < rem else 0)
-        for iid in order[pos:pos + size]:
-            bins[iid] = b
-        pos += size
+    bins = _frequency_bins(np.array([counts[i] for i in ids]), n_bins)
+    return dict(zip(ids, bins.tolist()))
+
+
+def _frequency_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:
+    """The bin of each item, given the pair counts of the items in ascending
+    id order: n_bins equal-count bins by ascending (count, id), sizes
+    differing by at most one, the lower-frequency bins taking the remainder."""
+    base, rem = divmod(len(counts), n_bins)
+    bins = np.empty(len(counts), dtype=np.intp)
+    bins[np.argsort(counts, kind="stable")] = np.repeat(
+        np.arange(n_bins), [base + (b < rem) for b in range(n_bins)])
     return bins
 
 

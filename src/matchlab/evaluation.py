@@ -11,7 +11,7 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, interpolate_ood, item_frequency_quantiles
+from .corpus import Corpus, Sentence, _frequency_bins, interpolate_ood
 from .encoder import EmbeddingModel, encode, encode_batch, encode_error, row_dots
 
 NO_TRUTH_BIN = -1
@@ -120,11 +120,16 @@ def auc_partial(scored: Sequence[tuple[float, int]], fpr_max: float = 0.05) -> f
     labels = np.asarray([l for _, l in scored], dtype=np.int64)
     if not np.all((labels == 0) | (labels == 1)):
         raise EvalError("labels must be 0 or 1")
+    if labels.all() or not labels.any():
+        raise EvalError("partial AUC needs both a positive and a negative example")
+    return _auc_partial(scores, labels, fpr_max)
+
+
+def _auc_partial(scores: np.ndarray, labels: np.ndarray, fpr_max: float) -> float:
+    """``auc_partial`` over a scores array and an int64 0/1 labels array that
+    holds both labels."""
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise EvalError("partial AUC needs both a positive and a negative example")
-
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
     l_sorted = labels[order]
@@ -211,15 +216,6 @@ def evaluate(
     if not item_ids:
         raise EvalError("no candidate item could be encoded")
 
-    relevant = corpus.relevant_by_query()
-    pair_counts = corpus.item_pair_counts()
-
-    feasible = [k for k in ks if k <= len(item_ids)]
-    p_sums = dict.fromkeys(feasible, 0.0)
-    bin_sum: dict[int, float] = {}
-    bin_mass: dict[int, int] = {}
-    n_no_truth = 0
-
     qids = sorted(corpus.queries)
     q_sents = [vocab.encode(corpus.queries[qid]) for qid in qids]
     q = encode_batch(theta, q_sents)
@@ -229,21 +225,43 @@ def evaluate(
         raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
     if n_bins > len(corpus.items):
         raise EvalError(f"n_bins={n_bins} exceeds item count {len(corpus.items)}")
-    bins = item_frequency_quantiles(corpus, n_bins)
-    q_scores = {qid: row_dots(item_matrix, row) for qid, row in zip(qids, q.embeddings)}
-    for qid, scores in q_scores.items():
-        order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id
-        rel = relevant.get(qid, set())
+
+    # Queries in id order are the rows, all items in id order the columns.
+    all_ids = sorted(corpus.items)
+    col = {iid: j for j, iid in enumerate(all_ids)}
+    row = {qid: i for i, qid in enumerate(qids)}
+    p_qids, p_iids, p_rels = zip(*corpus.pairs) if corpus.pairs else ((), (), ())
+    p_row = np.fromiter(map(row.__getitem__, p_qids), np.intp, len(p_qids))
+    p_col = np.fromiter(map(col.__getitem__, p_iids), np.intp, len(p_iids))
+    p_rel = np.array(p_rels, dtype=np.float64)
+    truth = p_rel == 1.0
+    relevant = np.zeros((len(qids), len(all_ids)), dtype=bool)
+    relevant[p_row[truth], p_col[truth]] = True
+    counts = np.bincount(p_col, minlength=len(all_ids))
+    # A query's anchor is its first relevant item by descending count, ties
+    # toward the smaller id; its bin is the anchor's.
+    by_count = np.argsort(-counts, kind="stable")
+    anchor = by_count[relevant[:, by_count].argmax(axis=1)]
+    q_bin = np.where(relevant.any(axis=1),
+                     _frequency_bins(counts, n_bins)[anchor], NO_TRUTH_BIN).tolist()
+
+    ok = np.ones(len(all_ids), dtype=bool)
+    ok[[col[iid] for iid in excluded]] = False
+    scores = row_dots(item_matrix, q.embeddings[:, None])
+    feasible = [k for k in ks if k <= len(item_ids)]
+    order = np.argsort(-scores, axis=1, kind="stable")  # ids ascend: ties go by id
+    order = order[:, :max(feasible, default=1)]  # top-1 exists whatever ks holds
+    hits = np.cumsum(np.take_along_axis(relevant[:, ok], order, axis=1), axis=1)
+    hits_at = {k: hits[:, k - 1].tolist() for k in feasible}
+
+    # Python float adds in query order: numpy's pairwise sum rounds some
+    # totals differently.
+    p_sums = dict.fromkeys(feasible, 0.0)
+    bin_sum: dict[int, float] = {}
+    bin_mass: dict[int, int] = {}
+    for i, (b, p1) in enumerate(zip(q_bin, hits[:, 0].tolist())):
         for k in feasible:
-            hits = sum(1 for i in order[:k] if item_ids[i] in rel)
-            p_sums[k] += hits / k
-        p1 = 1.0 if item_ids[order[0]] in rel else 0.0  # top-1 exists whatever ks holds
-        if rel:
-            anchor = min(rel, key=lambda i: (-pair_counts.get(i, 0), i))
-            b = bins[anchor]
-        else:
-            n_no_truth += 1
-            b = NO_TRUTH_BIN
+            p_sums[k] += hits_at[k][i] / k
         bin_sum[b] = bin_sum.get(b, 0.0) + p1
         bin_mass[b] = bin_mass.get(b, 0) + 1
 
@@ -254,14 +272,11 @@ def evaluate(
     quantile_p1 = {b: bin_sum[b] / bin_mass[b] for b in bin_mass}
 
     auc = None
-    item_row = {iid: i for i, iid in enumerate(item_ids)}
-    labeled = [
-        (float(q_scores[p.query_id][item_row[p.item_id]]), int(p.relevance))
-        for p in corpus.pairs if p.relevance in (0.0, 1.0) and p.item_id in item_row
-    ]
-    lab = [l for _, l in labeled]
-    if labeled and 0 < sum(lab) < len(lab):
-        auc = auc_partial(labeled, 0.05)
+    labeled = (truth | (p_rel == 0.0)) & ok[p_col]
+    labels = truth[labeled].astype(np.int64)
+    if 0 < labels.sum() < len(labels):
+        item_row = np.cumsum(ok) - 1  # an encodable item's row of item_matrix
+        auc = _auc_partial(scores[p_row[labeled], item_row[p_col[labeled]]], labels, 0.05)
 
     return EvalReport(
         split=split,
@@ -271,7 +286,7 @@ def evaluate(
         auc_005=auc,
         quantile_p1=quantile_p1,
         quantile_mass=bin_mass,
-        n_no_truth=n_no_truth,
+        n_no_truth=bin_mass.get(NO_TRUTH_BIN, 0),
         excluded_items=excluded,
     )
 

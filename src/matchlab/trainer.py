@@ -335,12 +335,18 @@ def write_loss_trace(run: TrainRun, path: str | Path, header_comment: str | None
 
 def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
     """Binary layout: magic 'ITVREG1', little-endian int32 (V, d), then V*d
-    little-endian float32 row-major. float64 tables quantize once on save."""
+    little-endian float32 row-major. float64 tables quantize once on save; a
+    table with an entry that float32 cannot hold is refused before the file
+    is opened, since no command could load it."""
     v, d = model.table.shape
+    with np.errstate(over="ignore"):
+        table = np.ascontiguousarray(model.table, dtype="<f4")
+    if not np.isfinite(table).all():
+        raise CheckpointError(f"{Path(path).name}: table has entries outside float32 range")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<ii", v, d))
-        fh.write(np.ascontiguousarray(model.table, dtype="<f4").tobytes())
+        fh.write(table.tobytes())
 
 
 def load_checkpoint(path: str | Path, vocab: Vocab) -> EmbeddingModel:

@@ -11,7 +11,11 @@ per-sentence key order, as the package's one-row ``encode_backward`` must.
 they were before they worked on whole arrays: Adam one touched row at a
 time with per-row moment dicts, and mining one example at a time over its
 id-sorted candidates. The property tests hold the trainer's array versions
-to them byte for byte.
+to them byte for byte. ``evaluate`` is the evaluation as it was before it
+worked on arrays: one query at a time, with sets of relevant ids, a keyed
+``min`` for each query's anchor and a list of (score, label) pairs for the
+partial AUC. The property tests hold the array ``evaluate`` to its reports,
+JSON for JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +25,21 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from matchlab import EncodeResult, MiningExample, Sentence, encode_batch, row_dots
+from matchlab import (
+    Corpus,
+    EmbeddingModel,
+    EncodeResult,
+    EvalError,
+    EvalReport,
+    MiningExample,
+    Sentence,
+    auc_partial,
+    encode_batch,
+    item_frequency_quantiles,
+    row_dots,
+)
+from matchlab.encoder import encode_error
+from matchlab.evaluation import NO_TRUTH_BIN, _encode_items
 
 
 def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.ndarray]:
@@ -135,3 +153,101 @@ def mine_negatives(theta, batch: Sequence[MiningExample],
             pick = cands[int(rng.integers(len(cands)))]
         out.append((pick, batch[item_row[pick]].z_pos))
     return out
+
+
+def evaluate(
+    theta: EmbeddingModel,
+    corpus: Corpus,
+    ks: Sequence[int] = (1, 3, 5),
+    n_bins: int = 5,
+    split: str = "eval",
+) -> EvalReport:
+    """Score every query against the corpus's candidate items.
+
+    P@k is averaged over queries for each feasible k. For the quantile
+    breakdown each query sits in exactly one item-frequency bin, that of its
+    highest-frequency ground-truth item (ties toward the smaller id); queries
+    with no ground truth occupy the reserved bin -1, so the mass-weighted bin
+    means recompose the overall P@1. AUC(fpr<=0.05) is computed over labeled
+    pairs when both label classes are present, else null. n_bins may not
+    exceed the item count.
+    """
+    if not corpus.queries:
+        raise EvalError("corpus has no queries")
+    if not corpus.items:
+        raise EvalError("corpus has no items")
+    for k in ks:
+        if k < 1:
+            raise EvalError(f"k must be >= 1, got {k}")
+    if n_bins < 1:
+        raise EvalError(f"n_bins must be >= 1, got {n_bins}")
+
+    vocab = theta.vocab
+    item_ids, excluded, item_matrix = _encode_items(
+        theta, {iid: vocab.encode(toks) for iid, toks in corpus.items.items()})
+    if not item_ids:
+        raise EvalError("no candidate item could be encoded")
+
+    relevant = corpus.relevant_by_query()
+    pair_counts = corpus.item_pair_counts()
+
+    feasible = [k for k in ks if k <= len(item_ids)]
+    p_sums = dict.fromkeys(feasible, 0.0)
+    bin_sum: dict[int, float] = {}
+    bin_mass: dict[int, int] = {}
+    n_no_truth = 0
+
+    qids = sorted(corpus.queries)
+    q_sents = [vocab.encode(corpus.queries[qid]) for qid in qids]
+    q = encode_batch(theta, q_sents)
+    if not q.ok.all():
+        i = int(np.argmin(q.ok))  # the first query that fails
+        exc = encode_error(theta, q_sents[i], q.norms[i])
+        raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
+    if n_bins > len(corpus.items):
+        raise EvalError(f"n_bins={n_bins} exceeds item count {len(corpus.items)}")
+    bins = item_frequency_quantiles(corpus, n_bins)
+    q_scores = {qid: row_dots(item_matrix, row) for qid, row in zip(qids, q.embeddings)}
+    for qid, scores in q_scores.items():
+        order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id
+        rel = relevant.get(qid, set())
+        for k in feasible:
+            hits = sum(1 for i in order[:k] if item_ids[i] in rel)
+            p_sums[k] += hits / k
+        p1 = 1.0 if item_ids[order[0]] in rel else 0.0  # top-1 exists whatever ks holds
+        if rel:
+            anchor = min(rel, key=lambda i: (-pair_counts.get(i, 0), i))
+            b = bins[anchor]
+        else:
+            n_no_truth += 1
+            b = NO_TRUTH_BIN
+        bin_sum[b] = bin_sum.get(b, 0.0) + p1
+        bin_mass[b] = bin_mass.get(b, 0) + 1
+
+    n_q = len(corpus.queries)
+    precision_at: dict[int, float | None] = {
+        k: (p_sums[k] / n_q if k in p_sums else None) for k in ks
+    }
+    quantile_p1 = {b: bin_sum[b] / bin_mass[b] for b in bin_mass}
+
+    auc = None
+    item_row = {iid: i for i, iid in enumerate(item_ids)}
+    labeled = [
+        (float(q_scores[p.query_id][item_row[p.item_id]]), int(p.relevance))
+        for p in corpus.pairs if p.relevance in (0.0, 1.0) and p.item_id in item_row
+    ]
+    lab = [l for _, l in labeled]
+    if labeled and 0 < sum(lab) < len(lab):
+        auc = auc_partial(labeled, 0.05)
+
+    return EvalReport(
+        split=split,
+        n_queries=n_q,
+        n_items=len(corpus.items),
+        precision_at=precision_at,
+        auc_005=auc,
+        quantile_p1=quantile_p1,
+        quantile_mass=bin_mass,
+        n_no_truth=n_no_truth,
+        excluded_items=excluded,
+    )

@@ -202,6 +202,28 @@ class TestErrorContract:
         assert "learning_rate" in err["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["[1,2]", "5", '"x"', "null", "true"])
+    def test_non_object_corpus_line_is_a_json_error(self, pipeline, tmp_path, line):
+        root, _ = pipeline
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text((root / "data" / "train.jsonl").read_text() + line + "\n")
+        n_lines = len(corpus.read_text().splitlines())
+        err = run_fail(["split", "--corpus", str(corpus), "--out-dir", str(tmp_path / "s"),
+                        "--holdout-k", "1"])
+        assert err["error"] == f"c.jsonl:{n_lines}: record must be a JSON object"
+        assert not (tmp_path / "s").exists()
+
+    def test_table_outside_float32_range_writes_no_checkpoint(self, pipeline, tmp_path):
+        root, _ = pipeline
+        out = tmp_path / "big.ckpt"
+        err = run_fail([
+            "train", "--corpus", str(root / "data" / "train.jsonl"),
+            "--base", str(root / "base.ckpt"), "--vocab", str(root / "vocab.tsv"),
+            "--out", str(out), "--loss", "mse", "--epochs", "2", "--lr", "1e39",
+        ])
+        assert err["error"] == "big.ckpt: table has entries outside float32 range"
+        assert sorted(f.name for f in tmp_path.iterdir()) == []
+
     def test_bad_model_spec(self, pipeline, tmp_path):
         root, _ = pipeline
         err = run_fail([
@@ -398,6 +420,28 @@ class TestConfigOverlay:
         assert out["models"] == ["base", "itv"]
         assert out["config_digest"] == sweep("--model", base, "--model", itv)["config_digest"]
         assert out["config_digest"] != sweep("--model", itv, "--model", base)["config_digest"]
+
+    def test_config_list_gives_a_repeatable_flag_one_value_per_entry(self, pipeline, tmp_path):
+        root, _ = pipeline
+        base, itv = f"base={root / 'base.ckpt'}", f"itv={root / 'itv.ckpt'}"
+        common = [
+            "sweep", "--iid", str(root / "data" / "iid_eval.jsonl"),
+            "--pool", str(root / "data" / "ood_eval.jsonl"),
+            "--vocab", str(root / "vocab.tsv"), "--fractions", "0,1", "--bins", "2",
+            "--out", str(tmp_path / "s.csv"),
+        ]
+        typed = run_ok([*common, "--model", base, "--model", itv])
+        typed_bytes = (tmp_path / "s.csv").read_bytes()
+        (tmp_path / "s.csv").unlink()
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": [base, itv]}))
+        assert run_ok([*common, "--config", str(tmp_path / "cfg.json")]) == typed
+        assert (tmp_path / "s.csv").read_bytes() == typed_bytes
+        (tmp_path / "s.csv").unlink()
+        for bad in ([base, 3], [[base]]):
+            (tmp_path / "cfg.json").write_text(json.dumps({"model": bad}))
+            err = run_fail([*common, "--config", str(tmp_path / "cfg.json")])
+            assert err["error"] == f"config key 'model' has invalid value {bad!r}"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_config_supplies_required_flags(self, pipeline, tmp_path):
         root, _ = pipeline

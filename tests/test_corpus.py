@@ -89,6 +89,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="blob"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null", "true"])
+    def test_non_object_record_names_the_line(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, BASIC)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(CorpusError, match=f"c.jsonl:{len(BASIC) + 1}: .*JSON object"):
+            load_corpus(path)
+
     def test_empty_text_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _write_jsonl(path, [{"kind": "query", "id": "q", "text": "..."}])

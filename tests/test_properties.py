@@ -344,3 +344,41 @@ def test_memoized_catalogue_gives_the_per_item_results(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matchlab.evaluation, "_encode_items", encode_each_item)
             assert got == outcome(*call)
+
+
+@st.composite
+def eval_cases(draw):
+    """A model whose later rows may negate earlier ones, items drawn from a
+    few token bags (so scores tie exactly, and a bag that cancels to a
+    degenerate sum leaves its items unencodable), up to 16 queries with up to
+    one pair more than there are items, repeats included, relevances from a
+    per-case pool (graded ones, or labels that are all 1 or all 0), ks past
+    the item count and n_bins from 1 to one past it."""
+    dim = draw(st.integers(2, 3))
+    grid = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    base = draw(st.lists(st.lists(grid, min_size=dim, max_size=dim).filter(any),
+                         min_size=2, max_size=4))
+    n_negated = draw(st.integers(0, len(base)))
+    model = model_from_rows(base + [[-x for x in row] for row in base[:n_negated]])
+    tokens = model.vocab.id_to_token[1:]
+    bags = draw(st.lists(st.lists(st.sampled_from(tokens), min_size=1, max_size=3).map(tuple),
+                         min_size=1, max_size=4))
+    bags += [(tokens[0], tokens[len(base)])] if n_negated else []  # cancels to zero
+    n_items = draw(st.integers(1, 8))
+    items = {f"i{j}": draw(st.sampled_from(bags)) for j in range(n_items)}
+    query = st.lists(st.sampled_from(tokens[:len(base)]), min_size=1, max_size=2).map(tuple)
+    queries = {f"q{j:02d}": draw(query) for j in range(draw(st.integers(1, 16)))}
+    pool = draw(st.sampled_from([(0.0, 1.0), (1.0,), (0.0,), (0.0, 0.25, 1.0), (0.0, 0.5, 1.0)]))
+    labels = st.tuples(st.sampled_from(sorted(items)), st.sampled_from(pool))
+    pairs = [Pair(qid, *label) for qid in queries
+             for label in draw(st.lists(labels, max_size=n_items + 1))]
+    ks = draw(st.lists(st.integers(1, n_items + 2), min_size=1, max_size=3))
+    return model, Corpus(queries, items, pairs), ks, draw(st.integers(1, n_items + 1))
+
+
+@PROPERTY
+@given(eval_cases())
+def test_array_evaluate_is_the_per_query_evaluate(case):
+    model, corpus, ks, n_bins = case
+    assert outcome(evaluate, model, corpus, ks, n_bins) == \
+        outcome(reference.evaluate, model, corpus, ks, n_bins)

@@ -297,6 +297,22 @@ class TestCheckpoint:
         assert blob.startswith(b"ITVREG1")
         assert len(blob) == 7 + 8 + 4 * 3 * 3
 
+    def test_entries_outside_float32_range_are_refused_before_writing(self, tmp_path):
+        # float32's largest value is (2 - 2**-23) * 2**127; half an ulp past
+        # it the cast rounds to inf (ties to even), just below it to the max
+        f32_max = float(np.finfo(np.float32).max)
+        edge = 2.0 ** 128 - 2.0 ** 103
+        path = tmp_path / "m.ckpt"
+        for bad in (1e39, -edge, np.nextafter(edge, np.inf)):
+            model = random_model(3, 2, np.random.default_rng(4))
+            model.table[2, 1] = bad
+            with pytest.raises(CheckpointError, match="m.ckpt: .*float32 range"):
+                save_checkpoint(model, path)
+            assert not path.exists()
+        model.table[2, 1] = np.nextafter(edge, 0.0)
+        save_checkpoint(model, path)
+        assert load_checkpoint(path, model.vocab).table[2, 1] == f32_max
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"NOTMINE" + b"\x00" * 32)
