@@ -8,6 +8,7 @@ through the normalization via the projection Jacobian (I - u u^T) / ||s||.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -17,6 +18,11 @@ import numpy as np
 from .corpus import Sentence, Vocab
 
 NORM_EPS = 1e-9
+
+# splitmix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
+# finalizer's two multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 class EncodeError(ValueError):
@@ -98,6 +104,42 @@ class EncodeResult:
     rate: float = 0.0
 
 
+def seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """Integer seeds as uint64 words. A seed of 2**64 or more is folded to its
+    low 64 bits (taken modulo 2**64); a negative seed raises ValueError. A
+    uint64 array, such as :func:`counter_hash` returns, passes as it is."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    words = [operator.index(s) for s in seeds]
+    if any(w < 0 for w in words):
+        raise ValueError(f"seeds must be non-negative integers, got {min(words)}")
+    return np.array([w & 0xFFFFFFFFFFFFFFFF for w in words], dtype=np.uint64)
+
+
+def counter_hash(seed: np.ndarray, *coords) -> np.ndarray:
+    """The splitmix64 hash of broadcast non-negative integer coordinates,
+    as uint64: h starts at the seed word and each coordinate c in turn sets
+    h = mix(h + (c + 1) * 0x9E3779B97F4A7C15), the (c + 1)-th output of a
+    splitmix64 generator whose state is h. mix is splitmix64's finalizer,
+    z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
+    z *= 0x94D049BB133111EB; z ^= z >> 31, all modulo 2**64. Every operand
+    is an array of at least one dimension, where numpy wraps silently."""
+    h = np.array(seed, dtype=np.uint64, ndmin=1)
+    for c in coords:
+        z = h + (np.array(c, dtype=np.uint64, ndmin=1) + np.uint64(1)) * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _M1
+        z = (z ^ (z >> np.uint64(27))) * _M2
+        h = z ^ (z >> np.uint64(31))
+    return h
+
+
+def _dropout_uniforms(words: np.ndarray, length: int, dim: int) -> np.ndarray:
+    """One (length, dim) block of uniforms in [0, 1) per seed word: the top 53
+    bits of ``counter_hash(word, position, coordinate)`` times 2**-53."""
+    h = counter_hash(words[:, None, None], np.arange(length)[:, None], np.arange(dim))
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
 def init_model(vocab: Vocab, dim: int = 32, seed: int = 0) -> EmbeddingModel:
     """Uniform init in [-0.5/dim, 0.5/dim], the scale that keeps early
     bag-of-words sums well away from the degenerate-norm guard."""
@@ -114,10 +156,11 @@ def encode(
 ) -> EncodeResult:
     """Unit-norm sum of token embeddings; errors if the sum nearly cancels.
 
-    rate > 0 gives a dropout view: each token-embedding coordinate is zeroed
-    independently with probability ``rate`` and survivors are scaled by
-    1/(1-rate). Two seeds give two views of the same sentence, the
-    dropout-noise analogue of a masking intervention. rate=0 ignores the seed.
+    rate > 0 gives a dropout view: coordinate c of position j is kept when
+    the 53-bit uniform of ``counter_hash(seed, j, c)`` is at least ``rate``,
+    and survivors are scaled by 1/(1-rate). Two seeds give two views of the
+    same sentence, the dropout-noise analogue of a masking intervention.
+    rate=0 ignores the seed; else a negative seed raises ValueError.
     """
     if not (0.0 <= rate < 1.0):
         raise EncodeError(f"dropout rate must be in [0, 1), got {rate}")
@@ -129,7 +172,7 @@ def encode(
         # Summing in sorted-id order makes token-order invariance bit-exact.
         s = model.table[np.sort(ids)].sum(axis=0)
     else:
-        keep = np.random.default_rng(seed).random((len(ids), model.dim)) >= rate
+        keep = _dropout_uniforms(seed_words([seed]), len(ids), model.dim)[0] >= rate
         s = (model.table[ids] * keep).sum(axis=0) / (1.0 - rate)
     n = float(np.linalg.norm(s))
     if n <= NORM_EPS:
@@ -207,9 +250,11 @@ def encode_batch(
     vectors = model.table.take(ids, axis=0, mode="clip")  # a bad id's row fails below
     keep = None
     if any(rates):
+        # One hash over every dropout row; what falls on padding is never read.
+        drop = np.flatnonzero(rates)
         keep = np.ones(vectors.shape, dtype=bool)
-        for i in (i for i, r in enumerate(rates) if r):
-            keep[i, :lengths[i]] = np.random.default_rng(seeds[i]).random((lengths[i], d)) >= rates[i]
+        keep[drop] = (_dropout_uniforms(seed_words([seeds[i] for i in drop]), width, d)
+                      >= np.asarray(rates)[drop, None, None])
         vectors = vectors * keep
     # Padding is left out, so each row sums exactly as encode's does.
     real = np.greater.outer(lengths, np.arange(width))

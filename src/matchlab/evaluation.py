@@ -192,13 +192,13 @@ def evaluate(
 ) -> EvalReport:
     """Score every query against the corpus's candidate items.
 
-    P@k is averaged over queries for each feasible k. For the quantile
-    breakdown each query sits in exactly one item-frequency bin, that of its
-    highest-frequency ground-truth item (ties toward the smaller id); queries
-    with no ground truth occupy the reserved bin -1, so the mass-weighted bin
-    means recompose the overall P@1. AUC(fpr<=0.05) is computed over labeled
-    pairs when both label classes are present, else null. n_bins may not
-    exceed the item count.
+    P@k is averaged over queries for each feasible k; a repeated k is
+    reported once. For the quantile breakdown each query sits in exactly one
+    item-frequency bin, that of its highest-frequency ground-truth item (ties
+    toward the smaller id); queries with no ground truth occupy the reserved
+    bin -1, so the mass-weighted bin means recompose the overall P@1.
+    AUC(fpr<=0.05) is computed over labeled pairs when both label classes are
+    present, else null. n_bins may not exceed the item count.
     """
     if not corpus.queries:
         raise EvalError("corpus has no queries")
@@ -207,6 +207,7 @@ def evaluate(
     for k in ks:
         if k < 1:
             raise EvalError(f"k must be >= 1, got {k}")
+    ks = list(dict.fromkeys(ks))  # a repeated k is reported once
     if n_bins < 1:
         raise EvalError(f"n_bins must be >= 1, got {n_bins}")
 

@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Sentence, Tokens
-from .encoder import EmbeddingModel, check_shared_vocab, encode_batch, encode_error, row_dots
+from .encoder import (
+    EmbeddingModel,
+    check_shared_vocab,
+    counter_hash,
+    encode_batch,
+    encode_error,
+    row_dots,
+    seed_words,
+)
 
 AMPLIFICATION_FLOOR = 1e-6
 
@@ -35,18 +44,43 @@ def mask_single(sentence: Sentence, position: int) -> Sentence:
 
 
 def mask_fraction(sentence: Sentence, fraction: float, seed: int) -> Sentence:
-    """Remove round(fraction * length) seeded-random positions (half rounds up),
-    clamped so at least one token is removed and at least one survives."""
+    """Remove round(fraction * length) positions (half rounds up), clamped so
+    at least one token is removed and at least one survives: the positions
+    whose ``counter_hash(seed, position)`` is lowest, ties toward the earlier
+    position. A negative seed raises ValueError; a seed of 2**64 or more
+    masks as its low 64 bits do."""
     n = len(sentence)
     if n < 2:
         raise InterventionError(f"cannot mask a sentence of length {n}")
+    return mask_fractions([sentence], fraction, [seed])[0]
+
+
+def mask_fractions(
+    sentences: Sequence[Sentence], fraction: float, seeds: Sequence[int]
+) -> list[Sentence | None]:
+    """``mask_fraction(sentences[i], fraction, seeds[i])`` for every i, in one
+    pass over a padded matrix of position hashes, with None for a sentence
+    too short to mask. Padding hashes as the largest word and comes after
+    every position, so a stable sort ranks each row's positions as
+    ``mask_fraction`` does alone."""
     if not (0.0 < fraction < 1.0):
         raise InterventionError(f"fraction must be in (0, 1), got {fraction}")
-    k = int(math.floor(fraction * n + 0.5))
-    k = min(max(k, 1), n - 1)
-    rng = np.random.default_rng(seed)
-    drop = set(rng.choice(n, size=k, replace=False).tolist())
-    return tuple(tok for pos, tok in enumerate(sentence) if pos not in drop)
+    if len(seeds) != len(sentences):
+        raise ValueError(f"seeds has length {len(seeds)}, sentences {len(sentences)}")
+    words = seed_words(seeds)
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    k = np.floor(fraction * lengths + 0.5).astype(np.intp)
+    k = np.minimum(np.maximum(k, 1), lengths - 1)
+    width = int(lengths.max(initial=0))
+    keys = counter_hash(words[:, None], np.arange(width))
+    real = np.arange(width) < lengths[:, None]
+    keys[~real] = np.iinfo(np.uint64).max
+    drop = np.empty(keys.shape, dtype=bool)
+    # Rank r of a row's stable order is dropped when r < k.
+    np.put_along_axis(drop, np.argsort(keys, axis=1, kind="stable"),
+                      np.arange(width) < k[:, None], axis=1)
+    return [tuple(compress(s, keep)) if len(s) >= 2 else None
+            for s, keep in zip(sentences, (real & ~drop).tolist())]
 
 
 def importance_scores(model: EmbeddingModel, sentence: Sentence) -> list[float]:

@@ -35,12 +35,14 @@ from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
     check_shared_vocab,
+    counter_hash,
     encode_batch,
     encode_batch_backward,
     encode_error,
     row_dots,
+    seed_words,
 )
-from .interventions import InterventionError, mask_fraction
+from .interventions import mask_fractions
 
 logger = logging.getLogger(__name__)
 
@@ -330,9 +332,10 @@ def simcse_penalty(
 
 
 def intervention_seed(batch_seed: int, index: int, draw: int = 0) -> int:
-    """Deterministic per-sentence seed stream for in-batch interventions."""
-    ss = np.random.SeedSequence([batch_seed, index, draw])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic per-sentence seed stream for in-batch interventions:
+    ``counter_hash(batch_seed, index, draw)``. A negative argument raises
+    ValueError; one of 2**64 or more is folded to its low 64 bits."""
+    return int(counter_hash(*seed_words([batch_seed, index, draw]))[0])
 
 
 def build_itvaug(
@@ -356,14 +359,10 @@ def build_itvaug(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(qids))
     take = int(math.floor(fraction * len(qids)))
-    masked: list[tuple[Sentence, Sentence]] = []
-    for idx in order[:take]:
-        sent = theta0.vocab.encode(corpus.queries[qids[idx]])
-        mask_seed = int(rng.integers(np.iinfo(np.int64).max))
-        try:
-            masked.append((sent, mask_fraction(sent, mask_frac, mask_seed)))
-        except InterventionError:
-            pass
+    sents = [theta0.vocab.encode(corpus.queries[qids[idx]]) for idx in order[:take]]
+    mask_seeds = [int(rng.integers(np.iinfo(np.int64).max)) for _ in sents]
+    masked = [(x, x_prime) for x, x_prime
+              in zip(sents, mask_fractions(sents, mask_frac, mask_seeds)) if x_prime is not None]
     enc = encode_batch(theta0, [x for x, _ in masked] + [x_prime for _, x_prime in masked])
     (a, b), (a_ok, b_ok) = np.split(enc.embeddings, 2), np.split(enc.ok, 2)
     pairs = [AugmentedPair(x, x_prime, float(target)) for (x, x_prime), target, ok
@@ -407,20 +406,18 @@ def total_loss(
         # Penalties see queries and items alike.
         sentences = [s for ex in batch.examples for s in
                      (ex.x, ex.z_pos if isinstance(ex, ContrastiveExample) else ex.z)]
-        for index, x in enumerate(sentences):
+        if config.kind == "outreg":
+            penalties = [_penalty_term("outreg", x) for x in sentences]
+        else:
+            # seeds[i, draw] is intervention_seed(batch.seed, i, draw), one hash for all.
+            seeds = counter_hash(seed_words([batch.seed]), np.arange(len(sentences))[:, None],
+                                 np.arange(2 if config.kind == "simcse" else 1))
             if config.kind == "simcse":
-                seeds = (intervention_seed(batch.seed, index, 0),
-                         intervention_seed(batch.seed, index, 1))
-                penalties.append(_penalty_term("simcse", x, seeds=seeds,
-                                               rate=config.dropout_rate))
-            elif config.kind == "outreg":
-                penalties.append(_penalty_term("outreg", x))
+                penalties = [_penalty_term("simcse", x, seeds=pair, rate=config.dropout_rate)
+                             for x, pair in zip(sentences, seeds.tolist())]
             else:
-                try:
-                    x_prime = mask_fraction(x, config.resolved_mask_fraction,
-                                            intervention_seed(batch.seed, index))
-                except InterventionError:
-                    skipped += 1
-                    continue
-                penalties.append(_penalty_term(config.kind, x, x_prime))
+                masked = mask_fractions(sentences, config.resolved_mask_fraction, seeds[:, 0])
+                penalties = [_penalty_term(config.kind, x, x_prime)
+                             for x, x_prime in zip(sentences, masked) if x_prime is not None]
+                skipped = len(sentences) - len(penalties)
     return _kernel(theta, theta0, fits + penalties, len(fits), config.lam, skipped)

@@ -238,78 +238,85 @@ def train(
         )
 
     trace: list[tuple[float, float, float]] = []
-    for epoch in range(config.epochs):
-        if config.loss_kind == "contrastive":
-            positives = {
-                q: positives_pool[q][int(rng.integers(len(positives_pool[q])))]
-                for q in anchors
-            }
-        order = rng.permutation(n_examples)
-        batches = _chunk(order, config.batch_size)
-        if config.loss_kind == "contrastive" and len(batches) > 1 and len(batches[-1]) < 2:
-            batches = batches[:-1]
-            skipped["short_batch"] += 1
-
-        aug_slices: list[np.ndarray] = []
-        if aug_pairs:
-            aug_slices = np.array_split(rng.permutation(len(aug_pairs)), len(batches))
-
-        erm_sum = pen_sum = total_sum = 0.0
-        weight = 0
-        for b_idx, batch_order in enumerate(batches):
-            mining_seed = int(rng.integers(np.iinfo(np.int64).max))
-            batch_seed = int(rng.integers(np.iinfo(np.int64).max))
-
+    # A diverging step overflows silently: its non-finite loss or table rows
+    # raise TrainError below, so no float warning reaches stderr.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
             if config.loss_kind == "contrastive":
-                mbatch = [
-                    MiningExample(anchors[i], q_sent[anchors[i]],
-                                  positives[anchors[i]], i_sent[positives[anchors[i]]])
-                    for i in batch_order
-                ]
-                mined = mine_negatives(theta, mbatch, relevant,
-                                       config.negative_strategy, mining_seed)
-                examples = []
-                for ex, neg in zip(mbatch, mined):
-                    if neg is None:
-                        skipped["no_negative"] += 1
-                        continue
-                    examples.append(ContrastiveExample(ex.x, ex.z_pos, neg[1]))
-            else:
-                examples = [
-                    ScoredExample(
-                        q_sent[corpus_train.pairs[i].query_id],
-                        i_sent[corpus_train.pairs[i].item_id],
-                        corpus_train.pairs[i].relevance,
+                positives = {
+                    q: positives_pool[q][int(rng.integers(len(positives_pool[q])))]
+                    for q in anchors
+                }
+            order = rng.permutation(n_examples)
+            batches = _chunk(order, config.batch_size)
+            if config.loss_kind == "contrastive" and len(batches) > 1 and len(batches[-1]) < 2:
+                batches = batches[:-1]
+                skipped["short_batch"] += 1
+
+            aug_slices: list[np.ndarray] = []
+            if aug_pairs:
+                aug_slices = np.array_split(rng.permutation(len(aug_pairs)), len(batches))
+
+            erm_sum = pen_sum = total_sum = 0.0
+            weight = 0
+            for b_idx, batch_order in enumerate(batches):
+                mining_seed = int(rng.integers(np.iinfo(np.int64).max))
+                batch_seed = int(rng.integers(np.iinfo(np.int64).max))
+
+                if config.loss_kind == "contrastive":
+                    mbatch = [
+                        MiningExample(anchors[i], q_sent[anchors[i]],
+                                      positives[anchors[i]], i_sent[positives[anchors[i]]])
+                        for i in batch_order
+                    ]
+                    mined = mine_negatives(theta, mbatch, relevant,
+                                           config.negative_strategy, mining_seed)
+                    examples = []
+                    for ex, neg in zip(mbatch, mined):
+                        if neg is None:
+                            skipped["no_negative"] += 1
+                            continue
+                        examples.append(ContrastiveExample(ex.x, ex.z_pos, neg[1]))
+                else:
+                    examples = [
+                        ScoredExample(
+                            q_sent[corpus_train.pairs[i].query_id],
+                            i_sent[corpus_train.pairs[i].item_id],
+                            corpus_train.pairs[i].relevance,
+                        )
+                        for i in batch_order
+                    ]
+
+                if not examples:
+                    continue
+                aug = [aug_pairs[i] for i in aug_slices[b_idx]] if aug_pairs else []
+                try:
+                    lv = total_loss(theta, theta0, Batch(examples, batch_seed, aug),
+                                    config.regularizer)
+                except DegenerateNormError:
+                    # raised only when every example of the batch is degenerate
+                    skipped["degenerate"] += len(examples)
+                    continue
+                if not np.isfinite(lv.total):
+                    raise TrainError(
+                        f"non-finite loss {lv.total} at epoch {epoch}, batch {b_idx}"
                     )
-                    for i in batch_order
-                ]
+                skipped["degenerate"] += lv.n_skipped_examples
+                skipped["penalty_terms"] += lv.n_skipped_penalty
+                adam.step(theta.table, lv.gradient)
+                if not np.isfinite(theta.table[lv.gradient.ids]).all():
+                    raise TrainError(
+                        f"non-finite table rows after the step at epoch {epoch}, batch {b_idx}"
+                    )
+                n_ex = len(examples) - lv.n_skipped_examples
+                erm_sum += lv.erm * n_ex
+                pen_sum += lv.penalty * n_ex
+                total_sum += lv.total * n_ex
+                weight += n_ex
 
-            if not examples:
-                continue
-            aug = [aug_pairs[i] for i in aug_slices[b_idx]] if aug_pairs else []
-            try:
-                lv = total_loss(theta, theta0, Batch(examples, batch_seed, aug),
-                                config.regularizer)
-            except DegenerateNormError:
-                # raised only when every example of the batch is degenerate
-                skipped["degenerate"] += len(examples)
-                continue
-            if not np.isfinite(lv.total):
-                raise TrainError(
-                    f"non-finite loss {lv.total} at epoch {epoch}, batch {b_idx}"
-                )
-            skipped["degenerate"] += lv.n_skipped_examples
-            skipped["penalty_terms"] += lv.n_skipped_penalty
-            adam.step(theta.table, lv.gradient)
-            n_ex = len(examples) - lv.n_skipped_examples
-            erm_sum += lv.erm * n_ex
-            pen_sum += lv.penalty * n_ex
-            total_sum += lv.total * n_ex
-            weight += n_ex
-
-        if weight == 0:
-            raise TrainError(f"epoch {epoch} produced no usable batches")
-        trace.append((erm_sum / weight, pen_sum / weight, total_sum / weight))
+            if weight == 0:
+                raise TrainError(f"epoch {epoch} produced no usable batches")
+            trace.append((erm_sum / weight, pen_sum / weight, total_sum / weight))
 
     if theta0.checksum() != checksum_before:
         raise TrainError("base model table changed during training")

@@ -15,11 +15,15 @@ to them byte for byte. ``evaluate`` is the evaluation as it was before it
 worked on arrays: one query at a time, with sets of relevant ids, a keyed
 ``min`` for each query's anchor and a list of (score, label) pairs for the
 partial AUC. The property tests hold the array ``evaluate`` to its reports,
-JSON for JSON.
+JSON for JSON. ``splitmix64``, ``mask_fraction`` and ``dropout_keep`` are
+the hashed intervention stream written with Python integers, one position
+or coordinate at a time: the property tests hold the package's uint64
+arrays, padded masks and keep masks to them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import AbstractSet, Mapping, Sequence
 
@@ -251,3 +255,32 @@ def evaluate(
         n_no_truth=n_no_truth,
         excluded_items=excluded,
     )
+
+
+def splitmix64(seed: int, *coords: int) -> int:
+    """The counter hash with Python integers: from h = seed mod 2**64, each
+    coordinate c sets h to splitmix64's finalizer of h + (c + 1) * gamma."""
+    mask = 2**64 - 1
+    h = seed & mask
+    for c in coords:
+        z = (h + (c + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        h = z ^ (z >> 31)
+    return h
+
+
+def mask_fraction(sentence: Sentence, fraction: float, seed: int) -> Sentence:
+    """Drop the k positions with the smallest (hash, position), each position
+    hashed on its own."""
+    n = len(sentence)
+    k = min(max(int(math.floor(fraction * n + 0.5)), 1), n - 1)
+    drop = set(sorted(range(n), key=lambda j: (splitmix64(seed, j), j))[:k])
+    return tuple(tok for j, tok in enumerate(sentence) if j not in drop)
+
+
+def dropout_keep(seed: int, length: int, dim: int, rate: float) -> np.ndarray:
+    """Keep coordinate c of position j when the top 53 bits of its hash, as
+    a fraction of 2**53, are at least ``rate``."""
+    return np.array([[(splitmix64(seed, j, c) >> 11) / 2**53 >= rate for c in range(dim)]
+                     for j in range(length)], dtype=bool).reshape(length, dim)

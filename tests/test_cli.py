@@ -7,11 +7,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matchlab
 from matchlab import load_corpus
 from matchlab.cli import _resolve_epochs, build_parser, main
 
@@ -102,6 +105,17 @@ class TestPipeline:
         csv_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert csv_lines[0] == f"# config_digest={report['config_digest']}"
         assert csv_lines[2].startswith("iid,")
+
+    def test_eval_reports_a_repeated_k_once(self, pipeline, tmp_path):
+        root, _ = pipeline
+        argv = ["eval", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+                "--checkpoint", str(root / "itv.ckpt"), "--vocab", str(root / "vocab.tsv"),
+                "--out", str(tmp_path / "report.json"), "--bins", "2"]
+        repeated = run_ok(argv + ["--ks", "1,3,1"])
+        once = run_ok(argv + ["--ks", "1,3"])
+        assert list(repeated["precision_at"]) == ["1", "3"]
+        assert repeated["precision_at"] == once["precision_at"]
+        assert 0.0 <= repeated["precision_at"]["1"] <= 1.0
 
     def test_sweep_rows_cover_models_by_fractions(self, pipeline, tmp_path):
         root, _ = pipeline
@@ -222,6 +236,29 @@ class TestErrorContract:
             "--out", str(out), "--loss", "mse", "--epochs", "2", "--lr", "1e39",
         ])
         assert err["error"] == "big.ckpt: table has entries outside float32 range"
+        assert sorted(f.name for f in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("warnings_flag", [[], ["-W", "error"]],
+                             ids=["default", "warnings-as-errors"])
+    def test_diverging_step_is_one_json_line_without_float_warnings(
+            self, pipeline, tmp_path, warnings_flag):
+        # At lr 1e308 the first step leaves rows near 1e308, whose sums
+        # overflow in the next forward.
+        root, _ = pipeline
+        src = str(Path(matchlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, *warnings_flag, "-m", "matchlab.cli", "train",
+             "--corpus", str(root / "data" / "train.jsonl"),
+             "--base", str(root / "base.ckpt"), "--vocab", str(root / "vocab.tsv"),
+             "--out", str(tmp_path / "big.ckpt"), "--loss", "mse", "--lr", "1e308"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"].startswith("non-finite ")
         assert sorted(f.name for f in tmp_path.iterdir()) == []
 
     def test_bad_model_spec(self, pipeline, tmp_path):

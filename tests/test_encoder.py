@@ -25,6 +25,8 @@ from matchlab import (
     evaluate,
     importance_scores,
     init_model,
+    intervention_seed,
+    mask_fraction,
     rank_items,
     relevance,
     row_dots,
@@ -262,6 +264,47 @@ class TestDropout:
                                          seed=seed).embedding),
                 model, set(ids))
             assert grad_rel_error(grads, fd, model.dim) < 1e-5
+
+
+class TestSeedDomain:
+    """Every seed of the hashed stream is a non-negative integer; one of
+    2**64 or more is folded to its low 64 bits."""
+
+    def test_negative_seeds_raise(self):
+        model = random_model(4, 3, np.random.default_rng(0))
+        calls = [lambda: mask_fraction((1, 2, 3), 0.5, -1),
+                 lambda: encode(model, (1, 2), rate=0.3, seed=-1),
+                 lambda: encode_batch(model, [(1, 2), (2, 3)], [0.0, 0.3], [0, -1]),
+                 lambda: intervention_seed(-1, 0),
+                 lambda: intervention_seed(0, -1),
+                 lambda: intervention_seed(0, 0, -1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="non-negative"):
+                call()
+
+    def test_seed_is_ignored_without_dropout(self):
+        model = random_model(4, 3, np.random.default_rng(0))
+        plain = encode(model, (1, 2)).embedding
+        assert encode(model, (1, 2), rate=0.0, seed=-1).embedding.tobytes() == plain.tobytes()
+        assert encode_batch(model, [(1, 2)], [0.0], [-1]).embeddings[0].tobytes() \
+            == plain.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+    def test_seeds_fold_modulo_two_to_the_64(self, seed):
+        model = random_model(6, 8, np.random.default_rng(1))
+        sentence = tuple(range(1, 7))
+        for big in (seed + 2**64, seed + 5 * 2**64):
+            assert mask_fraction(sentence, 0.5, big) == mask_fraction(sentence, 0.5, seed)
+            assert encode(model, sentence, 0.4, big).embedding.tobytes() \
+                == encode(model, sentence, 0.4, seed).embedding.tobytes()
+            assert encode_batch(model, [sentence], [0.4], [big]).keep.tobytes() \
+                == encode_batch(model, [sentence], [0.4], [seed]).keep.tobytes()
+            assert intervention_seed(big, big, big) == intervention_seed(seed, seed, seed)
+        assert 0 <= intervention_seed(seed, 1) < 2**64
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(TypeError):
+            mask_fraction((1, 2, 3), 0.5, 1.5)
 
 
 # Rows t1..t4: t1 + t2 cancels exactly, t1 + t4 leaves a norm of 2.5e-10.

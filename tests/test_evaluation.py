@@ -415,6 +415,14 @@ class TestEvaluate:
         assert report.precision_at[1] is not None
         assert report.precision_at[10] is None
 
+    def test_repeated_k_counts_once(self):
+        # The one query's top item is its relevant one: P@1 is 1, not 2.
+        model = model_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        corpus = Corpus({"q": ("t1",)}, {"a": ("t1",), "b": ("t2",)}, [Pair("q", "a", 1.0)])
+        report = evaluate(model, corpus, ks=(3, 1, 3, 1), n_bins=1)
+        assert list(report.precision_at.items()) == [(3, None), (1, 1.0)]
+        assert report == evaluate(model, corpus, ks=(3, 1), n_bins=1)
+
     def test_unencodable_item_reported(self):
         model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         corpus = Corpus(

@@ -1,13 +1,16 @@
 """Property tests: the batched forward against ``encode``, the batched and
 one-row backwards against the per-sentence reference in ``reference.py``,
 the array Adam and the one-matrix miner against their per-row references
-there, masking bounds, partial AUC against a brute-force threshold sweep,
-and rankings and reports through the catalogue memo against per-item
-encodes."""
+there, masking bounds, the hashed intervention stream (hash, batched masks
+and dropout keep masks) against its Python-integer references with two
+distribution checks, partial AUC against a brute-force threshold sweep, and
+rankings and reports through the catalogue memo against per-item encodes."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from matchlab import (  # noqa: E402
     EmbeddingModel,
     EncodeError,
     EvalError,
+    InterventionError,
     MiningExample,
     Pair,
     auc_partial,
@@ -28,12 +32,14 @@ from matchlab import (  # noqa: E402
     encode_backward,
     encode_batch,
     evaluate,
+    intervention_seed,
     mask_fraction,
     mine_negatives,
     rank_items,
     row_dots,
 )
-from matchlab.encoder import encode_batch_backward  # noqa: E402
+from matchlab.encoder import counter_hash, encode_batch_backward, seed_words  # noqa: E402
+from matchlab.interventions import mask_fractions  # noqa: E402
 from matchlab.objectives import SparseGradient  # noqa: E402
 from matchlab.trainer import _SparseAdam  # noqa: E402
 
@@ -251,6 +257,99 @@ def test_mask_fraction_keeps_an_ordered_proper_subsequence(sentence, fraction, s
     assert all(tok in remaining for tok in kept)
 
 
+def test_counter_hash_is_splitmix64():
+    # The first outputs of a splitmix64 generator seeded with 0 and with
+    # 1234567, as the reference implementation prints them.
+    assert counter_hash(np.uint64(0), np.arange(4)).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+    assert counter_hash(np.uint64(1234567), np.arange(3)).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+
+words = st.integers(0, 2**64 - 1)
+
+
+@PROPERTY
+@given(words, st.lists(words, max_size=3))
+def test_counter_hash_is_the_python_integer_hash(seed, coords):
+    got = counter_hash(seed_words([seed]), *[np.uint64(c) for c in coords])
+    assert got.dtype == np.uint64 and got.shape == (1,)
+    assert int(got[0]) == reference.splitmix64(seed, *coords)
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.integers(0, 9), max_size=20).map(tuple), max_size=10),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**70))
+def test_batched_masks_are_the_per_sentence_masks(sentences, fraction, batch_seed):
+    seeds = [intervention_seed(batch_seed, i) for i in range(len(sentences))]
+    for x, seed, got in zip(sentences, seeds, mask_fractions(sentences, fraction, seeds)):
+        if len(x) < 2:
+            assert got is None
+            with pytest.raises(InterventionError):
+                mask_fraction(x, fraction, seed)
+        else:
+            assert got == mask_fraction(x, fraction, seed) \
+                == reference.mask_fraction(x, fraction, seed)
+
+
+@PROPERTY
+@given(views_and_uses(), st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.just(0.0),
+                                  min_size=6, max_size=6),
+       st.lists(st.integers(0, 2**70), min_size=6, max_size=6))
+def test_dropout_rows_are_encode_with_the_reference_keep_mask(case, rates, seeds):
+    model, sentences, *_ = case
+    rates, seeds = rates[:len(sentences)], seeds[:len(sentences)]
+    result = encode_batch(model, sentences, rates, seeds)
+    for i, (sentence, rate, seed) in enumerate(zip(sentences, rates, seeds)):
+        try:
+            view = encode(model, sentence, rate, seed)
+        except EncodeError:
+            assert not result.ok[i]
+            continue
+        assert result.embeddings[i].tobytes() == view.embedding.tobytes()
+        if rate:
+            keep = reference.dropout_keep(seed, len(sentence), model.dim, rate)
+            assert np.array_equal(view.keep, keep)
+            assert np.array_equal(result.keep[i, :len(sentence)], keep)
+        else:
+            assert view.keep is None
+            assert result.keep is None or result.keep[i].all()
+
+
+def test_every_position_is_masked_at_rate_k_over_n():
+    # 100,000 masks of one 8-token sentence, seeded as total_loss seeds a
+    # batch: intervention_seed(11, i) for i in order
+    n_draws, sentence = 100_000, tuple(range(8))
+    seeds = counter_hash(np.uint64(11), np.arange(n_draws), 0)
+    assert [int(seeds[i]) for i in (0, 99_999)] == [intervention_seed(11, 0),
+                                                    intervention_seed(11, 99_999)]
+    for fraction, k in ((0.5, 4), (0.15, 1), (0.9, 7)):
+        masks = mask_fractions([sentence] * n_draws, fraction, seeds)
+        assert Counter(map(len, masks)) == {8 - k: n_draws}
+        kept = Counter(chain.from_iterable(masks))
+        dropped = np.array([n_draws - kept[j] for j in sentence])
+        p = k / 8
+        sigma = (n_draws * p * (1 - p)) ** 0.5
+        assert np.abs(dropped - n_draws * p).max() < 5 * sigma, (fraction, dropped)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+def test_dropout_keeps_one_minus_rate(rate):
+    # 400 views x 8 positions x 32 coordinates = 102,400 draws
+    model = model_from_rows(np.ones((8, 32)))
+    sentences = [tuple(range(1, 9))] * 400
+    seeds = [intervention_seed(3, i) for i in range(400)]
+    keep = encode_batch(model, sentences, [rate] * 400, seeds).keep
+    n = keep.size
+    sigma = (n * rate * (1 - rate)) ** 0.5
+    assert abs(int(keep.sum()) - n * (1 - rate)) < 5 * sigma
+    # per coordinate (3,200 draws each) and per position (12,800 each)
+    for counts, m in ((keep.sum(axis=(0, 1)), 400 * 8), (keep.sum(axis=(0, 2)), 400 * 32)):
+        s = (m * rate * (1 - rate)) ** 0.5
+        assert np.abs(counts - m * (1 - rate)).max() < 5 * s
+
+
 @PROPERTY
 @given(st.lists(st.tuples(st.integers(-5, 5).map(lambda s: s / 4), st.integers(0, 1)),
                 min_size=2, max_size=40),
@@ -380,5 +479,6 @@ def eval_cases(draw):
 @given(eval_cases())
 def test_array_evaluate_is_the_per_query_evaluate(case):
     model, corpus, ks, n_bins = case
+    # The oracle counts a repeated k again; evaluate reports it once.
     assert outcome(evaluate, model, corpus, ks, n_bins) == \
-        outcome(reference.evaluate, model, corpus, ks, n_bins)
+        outcome(reference.evaluate, model, corpus, list(dict.fromkeys(ks)), n_bins)

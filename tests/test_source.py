@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and the
+intervention stream builds no random generator."""
 
 from __future__ import annotations
 
@@ -31,3 +32,24 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# The functions that make a batch's interventions and dropout views: they
+# hash their coordinates and build no per-sentence random generator.
+HASHED = {"encoder": ("encode", "encode_batch", "counter_hash", "_dropout_uniforms"),
+          "interventions": ("mask_fraction", "mask_fractions"),
+          "objectives": ("intervention_seed", "total_loss")}
+GENERATORS = {"default_rng", "Generator", "SeedSequence"}
+
+
+@pytest.mark.parametrize("module,function",
+                         [(m, f) for m, names in HASHED.items() for f in names])
+def test_intervention_stream_builds_no_generator(module, function):
+    path = Path(matchlab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == function]
+    assert len(defs) == 1, f"{module}.{function} not found"
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(defs[0]) if isinstance(node, ast.Call)}
+    assert not called & GENERATORS, f"{module}.{function} calls {called & GENERATORS}"

@@ -13,6 +13,7 @@ from matchlab import (
     Pair,
     MiningExample,
     RegularizerConfig,
+    SparseGradient,
     TrainConfig,
     TrainError,
     VocabMismatchError,
@@ -242,6 +243,18 @@ class TestTrain:
         with pytest.raises(TrainError, match="epoch 0, batch 0"):
             train(corpus, theta_init, theta0,
                   TrainConfig(epochs=1, batch_size=4, seed=0))
+
+    def test_step_leaving_non_finite_rows_aborts_with_location(self, monkeypatch):
+        # The loss is finite, but the update pushes row 1 past -1.8e308.
+        corpus, _, theta_init, theta0 = _tiny_setup()
+        theta_init.table[1] = -1e308
+        grad = SparseGradient(np.array([1]), np.ones((1, theta_init.dim)))
+        monkeypatch.setattr(matchlab.trainer, "total_loss",
+                            lambda *args, **kwargs: LossValue(1.0, 0.0, 1.0, grad))
+        with pytest.raises(TrainError, match="non-finite table rows after the step "
+                                             "at epoch 0, batch 0"):
+            train(corpus, theta_init, theta0,
+                  TrainConfig(epochs=1, batch_size=4, learning_rate=1e308, seed=0))
 
     def test_trailing_singleton_batch_dropped_in_contrastive(self):
         corpus, _, theta_init, theta0 = _tiny_setup()
