@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    Corpus,
     CorpusError,
     SplitSpec,
     Vocab,
@@ -64,24 +65,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _fractions(text: str) -> list[float]:
+def _comma_list(text: str, kind: type, what: str) -> list:
+    """The non-blank entries of a comma-separated flag value, each read as kind."""
     try:
-        vals = [float(f) for f in text.split(",") if f.strip() != ""]
+        vals = [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise CliError(f"could not parse fraction list {text!r}") from None
+        raise CliError(f"could not parse {what} list {text!r}") from None
     if not vals:
-        raise CliError("empty fraction list")
+        raise CliError(f"empty {what} list")
     return vals
-
-
-def _ks(text: str) -> list[int]:
-    try:
-        ks = [int(k) for k in text.split(",") if k.strip() != ""]
-    except ValueError:
-        raise CliError(f"could not parse k list {text!r}") from None
-    if not ks:
-        raise CliError("empty k list")
-    return ks
 
 
 def _config_flags(path: str, actions: dict[str, argparse.Action]) -> list[str]:
@@ -147,9 +139,20 @@ def _regularizer_from_flags(ns: argparse.Namespace) -> RegularizerConfig:
     )
 
 
-def cmd_synth(ns: argparse.Namespace) -> int:
+def _write_splits(ns: argparse.Namespace, splits: tuple[Corpus, Corpus, Corpus],
+                  summary: dict) -> int:
+    """Write the (train, iid_eval, ood_eval) JSONL files and the config
+    sidecar to --out-dir, then print the summary with the config digest."""
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name, corpus in zip(("train", "iid_eval", "ood_eval"), splits):
+        write_corpus(corpus, out / f"{name}.jsonl")
+    digest = _write_config_sidecar(ns, out / "config.json")
+    print(json.dumps({**summary, "config_digest": digest}))
+    return 0
+
+
+def cmd_synth(ns: argparse.Namespace) -> int:
     train_c, iid_c, ood_c = synth_generate(
         ns.brands, ns.categories, ns.queries_per_brand, ns.noise_tokens, ns.seed,
         items_per_brand=ns.items_per_brand,
@@ -158,18 +161,12 @@ def cmd_synth(ns: argparse.Namespace) -> int:
         descriptors_per_sentence=ns.descriptors_per_sentence,
         noise_per_sentence=ns.noise_per_sentence,
     )
-    write_corpus(train_c, out / "train.jsonl")
-    write_corpus(iid_c, out / "iid_eval.jsonl")
-    write_corpus(ood_c, out / "ood_eval.jsonl")
-    digest = _write_config_sidecar(ns, out / "config.json")
-    print(json.dumps({
+    return _write_splits(ns, (train_c, iid_c, ood_c), {
         "train_queries": len(train_c.queries),
         "items": len(train_c.items),
         "iid_queries": len(iid_c.queries),
         "ood_queries": len(ood_c.queries),
-        "config_digest": digest,
-    }))
-    return 0
+    })
 
 
 def cmd_split(ns: argparse.Namespace) -> int:
@@ -183,20 +180,12 @@ def cmd_split(ns: argparse.Namespace) -> int:
     spec = SplitSpec(holdout=holdout, seed=ns.seed,
                      train_fraction=ns.train_fraction)
     train_c, iid_c, ood_c = split_by_category(corpus, spec)
-    out = Path(ns.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_corpus(train_c, out / "train.jsonl")
-    write_corpus(iid_c, out / "iid_eval.jsonl")
-    write_corpus(ood_c, out / "ood_eval.jsonl")
-    digest = _write_config_sidecar(ns, out / "config.json")
-    print(json.dumps({
+    return _write_splits(ns, (train_c, iid_c, ood_c), {
         "held_out": list(holdout),
         "train_queries": len(train_c.queries),
         "iid_queries": len(iid_c.queries),
         "ood_queries": len(ood_c.queries),
-        "config_digest": digest,
-    }))
-    return 0
+    })
 
 
 def _fit(ns: argparse.Namespace, corpus, theta_init, theta0,
@@ -264,7 +253,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     corpus = load_corpus(ns.corpus)
     vocab = Vocab.load(ns.vocab)
     theta = load_checkpoint(ns.checkpoint, vocab)
-    report = evaluate(theta, corpus, ks=_ks(ns.ks), n_bins=ns.bins, split=ns.split_tag)
+    ks = _comma_list(ns.ks, int, "k")
+    report = evaluate(theta, corpus, ks=ks, n_bins=ns.bins, split=ns.split_tag)
     digest = _resolved(ns)[1]
     write_report_json(report, ns.out, config_digest=digest)
     if ns.csv:
@@ -277,7 +267,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     iid_c = load_corpus(ns.iid)
     pool_c = load_corpus(ns.pool)
     vocab = Vocab.load(ns.vocab)
-    fractions = _fractions(ns.fractions)
+    fractions = _comma_list(ns.fractions, float, "fraction")
+    ks = _comma_list(ns.ks, int, "k")
     sweeps = {}
     for spec in ns.model:
         if "=" not in spec:
@@ -287,7 +278,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             raise CliError(f"--model name {name!r} given twice")
         theta = load_checkpoint(ckpt, vocab)
         sweeps[name] = sweep_interpolation(
-            theta, iid_c, pool_c, fractions, ns.seed, ks=_ks(ns.ks), n_bins=ns.bins
+            theta, iid_c, pool_c, fractions, ns.seed, ks=ks, n_bins=ns.bins
         )
     digest = _resolved(ns)[1]
     write_sweep_csv(sweeps, ns.out, config_digest=digest)

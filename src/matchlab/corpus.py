@@ -133,16 +133,15 @@ def load_corpus(path: str | Path) -> Corpus:
                         raise CorpusError(f"{path.name}:{lineno}: category must be a string")
                     (qcat if kind == "query" else icat)[rid] = cat
             elif kind == "pair":
-                try:
-                    rel = float(rec["relevance"])
-                    pair = Pair(rec["query"], rec["item"], rel)
-                except (KeyError, TypeError, ValueError):
-                    raise CorpusError(
-                        f"{path.name}:{lineno}: pair needs 'query', 'item', numeric 'relevance'"
-                    ) from None
-                if not (0.0 <= rel <= 1.0):
+                qid, iid, rel = rec.get("query"), rec.get("item"), rec.get("relevance")
+                # type(), not isinstance(): a JSON true is an int, but no relevance
+                if not (isinstance(qid, str) and isinstance(iid, str)
+                        and type(rel) in (int, float)):
+                    raise CorpusError(f"{path.name}:{lineno}: pair needs string 'query' "
+                                      f"and 'item' and numeric 'relevance'")
+                if not (0 <= rel <= 1):
                     raise CorpusError(f"{path.name}:{lineno}: relevance {rel} outside [0, 1]")
-                pairs.append(pair)
+                pairs.append(Pair(qid, iid, float(rel)))
             else:
                 raise CorpusError(f"{path.name}:{lineno}: unknown record kind {kind!r}")
 
@@ -165,6 +164,19 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             rec = {"kind": "pair", "query": p.query_id, "item": p.item_id,
                    "relevance": p.relevance}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence],
+                comment: str | None = None, sep: str = ",") -> None:
+    """A CSV (or, with sep="\\t", TSV) artifact: an optional ``# comment``
+    line, the header, then one line per row. A float cell is written
+    ``.10g``, None as an empty cell and anything else with ``str``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        for row in (header, *rows):
+            fh.write(sep.join("" if v is None else f"{v:.10g}" if isinstance(v, float)
+                              else str(v) for v in row) + "\n")
 
 
 @dataclass
@@ -439,6 +451,32 @@ def _make_text(brand: int, cat: int, desc_pool: int, desc_per_sentence: int,
     return tuple(toks)
 
 
+def _check_synth(n_brands: int, n_categories: int, noise_tokens: int,
+                 descriptors_per_category: int,
+                 descriptors_per_sentence: int | None) -> int:
+    """The checks both generators make; returns descriptors_per_sentence with
+    its default (all of the category's descriptors) filled in."""
+    if n_categories < 2 or n_brands < n_categories:
+        raise CorpusError(
+            f"need n_brands >= n_categories >= 2, got {n_brands}, {n_categories}"
+        )
+    n_slices = _filler_slices(n_brands)
+    if noise_tokens != 0 and noise_tokens < n_slices:
+        raise CorpusError(
+            f"noise_tokens must be 0 or >= {n_slices} so every filler slice "
+            f"is nonempty, got {noise_tokens} for {n_brands} brands"
+        )
+    if descriptors_per_category < 2:
+        raise CorpusError("descriptors_per_category must be >= 2")
+    if descriptors_per_sentence is None:
+        descriptors_per_sentence = descriptors_per_category
+    if not 1 <= descriptors_per_sentence <= descriptors_per_category:
+        raise CorpusError(
+            "descriptors_per_sentence must be in [1, descriptors_per_category]"
+        )
+    return descriptors_per_sentence
+
+
 def _same_category_pairs(queries_cat: Mapping[str, int],
                          items_cat: Mapping[str, int]) -> list[Pair]:
     by_cat: dict[int, list[str]] = {}
@@ -478,26 +516,11 @@ def synth_generate(
     surface sit in the wrong category: a model leaning on brand identity
     retrieves exactly those.
     """
-    if n_categories < 2 or n_brands < n_categories:
-        raise CorpusError(
-            f"need n_brands >= n_categories >= 2, got {n_brands}, {n_categories}"
-        )
+    descriptors_per_sentence = _check_synth(n_brands, n_categories, noise_tokens,
+                                            descriptors_per_category,
+                                            descriptors_per_sentence)
     if queries_per_brand < 1:
         raise CorpusError("queries_per_brand must be >= 1")
-    n_slices = _filler_slices(n_brands)
-    if noise_tokens != 0 and noise_tokens < n_slices:
-        raise CorpusError(
-            f"noise_tokens must be 0 or >= {n_slices} so every filler slice "
-            f"is nonempty, got {noise_tokens} for {n_brands} brands"
-        )
-    if descriptors_per_category < 2:
-        raise CorpusError("descriptors_per_category must be >= 2")
-    if descriptors_per_sentence is None:
-        descriptors_per_sentence = descriptors_per_category
-    if not 1 <= descriptors_per_sentence <= descriptors_per_category:
-        raise CorpusError(
-            "descriptors_per_sentence must be in [1, descriptors_per_category]"
-        )
     if items_per_brand is None:
         items_per_brand = max(1, round(queries_per_brand / 5))
     if eval_queries_per_brand is None:
@@ -551,7 +574,6 @@ def synth_pretrain(
     noise_tokens: int,
     seed: int,
     *,
-    n_items: int | None = None,
     descriptors_per_category: int = 2,
     descriptors_per_sentence: int | None = None,
     noise_per_sentence: int = 2,
@@ -559,31 +581,16 @@ def synth_pretrain(
     """A broad corpus over the same token universe with brand and category
     independent, for manufacturing base models that lack the planted confound.
 
-    Brands cycle across queries (and categories across items) so every token
-    is guaranteed to appear, while the paired attribute is drawn uniformly.
+    Brands cycle across queries (and categories across the
+    max(n_categories, n_queries // 5) items) so every token is guaranteed to
+    appear, while the paired attribute is drawn uniformly.
     """
-    if n_categories < 2 or n_brands < n_categories:
-        raise CorpusError(
-            f"need n_brands >= n_categories >= 2, got {n_brands}, {n_categories}"
-        )
+    descriptors_per_sentence = _check_synth(n_brands, n_categories, noise_tokens,
+                                            descriptors_per_category,
+                                            descriptors_per_sentence)
     if n_queries < n_brands:
         raise CorpusError("need n_queries >= n_brands to cover every brand")
-    if n_items is None:
-        n_items = max(n_categories, n_queries // 5)
-    if n_items < n_categories:
-        raise CorpusError("need n_items >= n_categories to cover every category")
-    n_slices = _filler_slices(n_brands)
-    if noise_tokens != 0 and noise_tokens < n_slices:
-        raise CorpusError(
-            f"noise_tokens must be 0 or >= {n_slices} so every filler slice "
-            f"is nonempty, got {noise_tokens} for {n_brands} brands"
-        )
-    if descriptors_per_sentence is None:
-        descriptors_per_sentence = descriptors_per_category
-    if not 1 <= descriptors_per_sentence <= descriptors_per_category:
-        raise CorpusError(
-            "descriptors_per_sentence must be in [1, descriptors_per_category]"
-        )
+    n_items = max(n_categories, n_queries // 5)
 
     rng = np.random.default_rng(seed)
     brand_pools = _brand_noise_pools(_noise_names(noise_tokens), n_brands)

@@ -11,7 +11,7 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, _frequency_bins, interpolate_ood
+from .corpus import Corpus, Sentence, _frequency_bins, interpolate_ood, write_table
 from .encoder import EmbeddingModel, encode, encode_batch, encode_error, row_dots
 
 NO_TRUTH_BIN = -1
@@ -342,25 +342,15 @@ def write_report_json(
         fh.write("\n")
 
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return ""
-    return f"{v:.10g}"
-
-
 def write_report_csv(
     report: EvalReport, path: str | Path, config_digest: str | None = None
 ) -> None:
     """One flat row per report: split, counts, P@k columns, AUC."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        ks = sorted(report.precision_at)
-        fh.write("split,n_queries,n_items," + ",".join(f"p_at_{k}" for k in ks) + ",auc_005\n")
-        row = [report.split, str(report.n_queries), str(report.n_items)]
-        row += [_fmt(report.precision_at[k]) for k in ks]
-        row.append(_fmt(report.auc_005))
-        fh.write(",".join(row) + "\n")
+    ks = sorted(report.precision_at)
+    write_table(path, ["split", "n_queries", "n_items", *(f"p_at_{k}" for k in ks), "auc_005"],
+                [[report.split, report.n_queries, report.n_items,
+                  *(report.precision_at[k] for k in ks), report.auc_005]],
+                config_digest and f"config_digest={config_digest}")
 
 
 def write_quantile_csv(
@@ -372,16 +362,10 @@ def write_quantile_csv(
     """Rows of (bin, baseline P@1, method P@1, percent gain); undefined gains
     are left empty."""
     gains = quantile_gain_report(method, baseline)
-    with open(path, "w", encoding="utf-8") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("bin,baseline_p1,method_p1,gain_pct\n")
-        for b in sorted(gains):
-            gain = gains[b]
-            fh.write(
-                f"{b},{_fmt(baseline.quantile_p1[b])},{_fmt(method.quantile_p1[b])},"
-                f"{'' if gain is None else _fmt(gain)}\n"
-            )
+    write_table(path, ["bin", "baseline_p1", "method_p1", "gain_pct"],
+                [[b, baseline.quantile_p1[b], method.quantile_p1[b], gains[b]]
+                 for b in sorted(gains)],
+                config_digest and f"config_digest={config_digest}")
 
 
 def write_sweep_csv(
@@ -394,15 +378,9 @@ def write_sweep_csv(
         k for per_model in sweeps.values()
         for rep in per_model.values() for k in rep.precision_at
     })
-    with open(path, "w", encoding="utf-8") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("model,fraction,n_queries,n_items,"
-                 + ",".join(f"p_at_{k}" for k in ks_all) + ",auc_005\n")
-        for model in sorted(sweeps):
-            for frac in sorted(sweeps[model]):
-                rep = sweeps[model][frac]
-                row = [model, f"{frac:g}", str(rep.n_queries), str(rep.n_items)]
-                row += [_fmt(rep.precision_at.get(k)) for k in ks_all]
-                row.append(_fmt(rep.auc_005))
-                fh.write(",".join(row) + "\n")
+    write_table(path, ["model", "fraction", "n_queries", "n_items",
+                       *(f"p_at_{k}" for k in ks_all), "auc_005"],
+                [[model, f"{frac:g}", rep.n_queries, rep.n_items,
+                  *(rep.precision_at.get(k) for k in ks_all), rep.auc_005]
+                 for model in sorted(sweeps) for frac, rep in sorted(sweeps[model].items())],
+                config_digest and f"config_digest={config_digest}")

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, Tokens
+from .corpus import Sentence, Tokens, write_table
 from .encoder import (
     EmbeddingModel,
     check_shared_vocab,
@@ -130,13 +130,10 @@ def importance_report(
 
 
 def write_importance_tsv(report: ImportanceReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("position\ttoken\ts_theta\ts_theta0\tamplification\n")
-        for pos, tok in enumerate(report.tokens):
-            fh.write(
-                f"{pos}\t{tok}\t{report.s_theta[pos]:.10g}"
-                f"\t{report.s_theta0[pos]:.10g}\t{report.amplification[pos]:.10g}\n"
-            )
+    write_table(path, ["position", "token", "s_theta", "s_theta0", "amplification"],
+                [(pos, *cells) for pos, cells in enumerate(zip(
+                    report.tokens, report.s_theta, report.s_theta0, report.amplification))],
+                sep="\t")
 
 
 def write_importance_summary(
@@ -152,8 +149,6 @@ def write_importance_summary(
             if not math.isnan(amp):
                 if tok not in best or amp > best[tok]:
                     best[tok] = amp
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("token\tpositions_scored\tmax_amplification\n")
-        for tok in sorted(seen):
-            top = best.get(tok, float("nan"))
-            fh.write(f"{tok}\t{seen[tok]}\t{top:.10g}\n")
+    write_table(path, ["token", "positions_scored", "max_amplification"],
+                [(tok, seen[tok], best.get(tok, math.nan)) for tok in sorted(seen)],
+                sep="\t")

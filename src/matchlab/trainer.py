@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import struct
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, Vocab
+from .corpus import Corpus, Sentence, Vocab, write_table
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
@@ -39,6 +38,7 @@ CHECKPOINT_MAGIC = b"ITVREG1"
 
 LOSS_KINDS = ("contrastive", "mse")
 NEGATIVE_STRATEGIES = ("in-batch-hardest", "in-batch-random")
+ADAM_BETAS_EPS = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
 
 
 class TrainError(RuntimeError):
@@ -56,9 +56,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     negative_strategy: str = "in-batch-hardest"
 
@@ -76,18 +73,12 @@ class TrainConfig:
         # lr = 0 is allowed as a no-op probe; updates become exact zeros.
         if not (0.0 <= self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not (0.0 < self.adam_eps < math.inf):
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
 
 @dataclass
 class TrainRun:
     theta: EmbeddingModel
     trace: list[tuple[float, float, float]]
-    config: TrainConfig
-    wall_clock: float
     skipped: dict[str, int]
 
 
@@ -204,12 +195,11 @@ def train(
     if not theta0.frozen:
         raise TrainError("theta0 must be frozen before training against it")
 
-    started = time.perf_counter()
     theta = theta_init.copy()
     vocab = theta.vocab
     checksum_before = theta0.checksum()
     rng = np.random.default_rng(config.seed)
-    adam = _SparseAdam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    adam = _SparseAdam(config.learning_rate, *ADAM_BETAS_EPS)
     skipped = {"no_negative": 0, "degenerate": 0, "short_batch": 0, "penalty_terms": 0}
 
     q_sent = {qid: vocab.encode(toks) for qid, toks in corpus_train.queries.items()}
@@ -321,23 +311,13 @@ def train(
     if theta0.checksum() != checksum_before:
         raise TrainError("base model table changed during training")
 
-    return TrainRun(
-        theta=theta,
-        trace=trace,
-        config=config,
-        wall_clock=time.perf_counter() - started,
-        skipped=skipped,
-    )
+    return TrainRun(theta=theta, trace=trace, skipped=skipped)
 
 
 def write_loss_trace(run: TrainRun, path: str | Path, header_comment: str | None = None) -> None:
     """CSV trace: epoch, mean fitting loss, mean penalty, mean total."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("epoch,erm,penalty,total\n")
-        for epoch, (erm, pen, tot) in enumerate(run.trace):
-            fh.write(f"{epoch},{erm:.10g},{pen:.10g},{tot:.10g}\n")
+    write_table(path, ["epoch", "erm", "penalty", "total"],
+                [(epoch, *row) for epoch, row in enumerate(run.trace)], header_comment)
 
 
 def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:

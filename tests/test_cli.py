@@ -227,6 +227,29 @@ class TestErrorContract:
         assert err["error"] == f"c.jsonl:{n_lines}: record must be a JSON object"
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("fields", [
+        {"query": ["qry-0-0"]},
+        {"item": {"id": "itm-0-0"}},
+        {"query": 3},
+        {"relevance": True},
+        {"relevance": "0.5"},
+        {"relevance": None},
+    ], ids=["query-array", "item-object", "query-number", "relevance-bool",
+            "relevance-string", "relevance-null"])
+    def test_malformed_pair_is_a_json_error(self, pipeline, tmp_path, fields):
+        root, _ = pipeline
+        record = {"kind": "pair", "query": "qry-0-0", "item": "itm-0-0",
+                  "relevance": 1, **fields}
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text((root / "data" / "train.jsonl").read_text()
+                          + json.dumps(record) + "\n")
+        n_lines = len(corpus.read_text().splitlines())
+        err = run_fail(["split", "--corpus", str(corpus), "--out-dir", str(tmp_path / "s"),
+                        "--holdout-k", "1"])
+        assert err["error"] == (f"c.jsonl:{n_lines}: pair needs string 'query' and "
+                                f"'item' and numeric 'relevance'")
+        assert not (tmp_path / "s").exists()
+
     def test_table_outside_float32_range_writes_no_checkpoint(self, pipeline, tmp_path):
         root, _ = pipeline
         out = tmp_path / "big.ckpt"
@@ -556,9 +579,13 @@ class TestDefaultsAndDigests:
         assert third["config_digest"] != first["config_digest"]
 
     def test_console_entry_point(self):
+        # pytest's pythonpath setting does not reach a child process.
+        src = str(Path(matchlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "matchlab.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         for name in ("synth", "split", "pretrain-base", "train", "eval",

@@ -398,3 +398,26 @@ class TestSynthPretrain:
 
     def test_deterministic(self):
         assert synth_pretrain(6, 3, 20, 12, seed=3) == synth_pretrain(6, 3, 20, 12, seed=3)
+
+    @pytest.mark.parametrize("n_queries,n_items", [(6, 3), (30, 6), (52, 10)])
+    def test_item_count_is_a_fifth_of_the_queries_or_the_categories(self, n_queries, n_items):
+        corpus = synth_pretrain(6, 3, n_queries, 12, seed=0)
+        assert len(corpus.queries) == n_queries
+        assert sorted(corpus.items) == sorted(f"preitm-{m}" for m in range(n_items))
+
+    @pytest.mark.parametrize("brands,categories,noise,kwargs", [
+        (2, 3, 12, {}),
+        (4, 1, 12, {}),
+        (6, 3, 2, {}),
+        (6, 3, 12, {"descriptors_per_category": 1}),
+        (6, 3, 12, {"descriptors_per_category": 4, "descriptors_per_sentence": 5}),
+        (6, 3, 12, {"descriptors_per_sentence": 0}),
+    ], ids=["brands-below-categories", "one-category", "filler-below-slices",
+            "one-descriptor", "sentence-above-pool", "no-descriptor-per-sentence"])
+    def test_rejects_what_the_benchmark_generator_rejects(self, brands, categories,
+                                                           noise, kwargs):
+        with pytest.raises(CorpusError) as bench:
+            synth_generate(brands, categories, 4, noise, seed=0, **kwargs)
+        with pytest.raises(CorpusError) as pre:
+            synth_pretrain(brands, categories, 30, noise, seed=0, **kwargs)
+        assert str(pre.value) == str(bench.value)

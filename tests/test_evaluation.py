@@ -559,3 +559,23 @@ class TestWriters:
         assert lines[1].startswith("alpha,0,")
         assert lines[2].startswith("beta,0,")
         assert lines[3].startswith("beta,0.5,")
+
+    def test_sweep_csv_lines(self, tmp_path):
+        # Models and fractions sort; a k one report lacks is an empty cell;
+        # fractions print with :g, metrics with .10g.
+        rep = self._sample_report()
+        other = EvalReport(
+            split="mix", n_queries=7, n_items=12,
+            precision_at={1: 1 / 3, 10: 2.5e-11}, auc_005=None,
+            quantile_p1={}, quantile_mass={}, n_no_truth=0,
+        )
+        sweeps = {"beta": {1 / 3: other, 0.0: rep}, "alpha": {1.0: other}}
+        path = tmp_path / "s.csv"
+        write_sweep_csv(sweeps, path, config_digest="cafe")
+        assert path.read_text().splitlines() == [
+            "# config_digest=cafe",
+            "model,fraction,n_queries,n_items,p_at_1,p_at_3,p_at_5,p_at_10,auc_005",
+            "alpha,1,7,12,0.3333333333,,,2.5e-11,",
+            "beta,0,10,5,0.5,0.6,,,0.8125",
+            "beta,0.333333,7,12,0.3333333333,,,2.5e-11,",
+        ]

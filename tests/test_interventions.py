@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from matchlab import (
+    ImportanceReport,
     InterventionError,
     encode,
     importance_report,
@@ -151,6 +152,39 @@ class TestImportanceReport:
         cells = lines[1].split("\t")
         assert cells[0] == "0" and cells[1] == "t1"
         assert float(cells[2]) == pytest.approx(rep.s_theta[0], rel=1e-9)
+
+    def test_tsv_lines(self, tmp_path):
+        nan = float("nan")
+        rep = ImportanceReport(sentence=(4, 2, 7), tokens=("brand3", "cat1d0", "noise5"),
+                               s_theta=[1 / 3, 0.0, nan], s_theta0=[1e-07, 2.5e6, nan],
+                               amplification=[123456789012.0, 0.0, nan])
+        path = tmp_path / "imp.tsv"
+        write_importance_tsv(rep, path)
+        assert path.read_text().splitlines() == [
+            "position\ttoken\ts_theta\ts_theta0\tamplification",
+            "0\tbrand3\t0.3333333333\t1e-07\t1.23456789e+11",
+            "1\tcat1d0\t0\t2500000\t0",
+            "2\tnoise5\tnan\tnan\tnan",
+        ]
+
+    def test_summary_lines(self, tmp_path):
+        # A token whose every amplification is nan reads nan; others their max.
+        nan = float("nan")
+        reps = [
+            ImportanceReport(sentence=(1, 2), tokens=("b", "a"), s_theta=[0.0, 0.0],
+                             s_theta0=[0.0, 0.0], amplification=[2 / 3, nan]),
+            ImportanceReport(sentence=(2, 1, 3), tokens=("a", "b", "c"),
+                             s_theta=[0.0] * 3, s_theta0=[0.0] * 3,
+                             amplification=[nan, 1e-12, 4.0]),
+        ]
+        path = tmp_path / "summary.tsv"
+        write_importance_summary(reps, path)
+        assert path.read_text().splitlines() == [
+            "token\tpositions_scored\tmax_amplification",
+            "a\t2\tnan",
+            "b\t2\t0.6666666667",
+            "c\t1\t4",
+        ]
 
     def test_summary_takes_max_over_positions(self, tmp_path):
         theta = model_from_rows([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and the
-intervention stream builds no random generator."""
+"""Source hygiene: every name a package module imports is used in it, the
+intervention stream builds no random generator, and one function holds the
+artifact float format."""
 
 from __future__ import annotations
 
@@ -53,3 +54,19 @@ def test_intervention_stream_builds_no_generator(module, function):
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(defs[0]) if isinstance(node, ast.Call)}
     assert not called & GENERATORS, f"{module}.{function} calls {called & GENERATORS}"
+
+
+def test_one_function_holds_the_float_format():
+    # Every text artifact writes floats through one writer, so the format
+    # cannot fork between files.
+    holders = set()
+    for path in MODULES + [Path(matchlab.__file__)]:
+        text = path.read_text(encoding="utf-8")
+        funcs = [node for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.FunctionDef)]
+        for n, line in enumerate(text.splitlines(), start=1):
+            if ".10g" in line:
+                inner = [f for f in funcs if f.lineno <= n <= f.end_lineno]
+                innermost = min(inner, key=lambda f: f.end_lineno - f.lineno, default=None)
+                holders.add((path.name, innermost and innermost.name))
+    assert len(holders) == 1 and None not in next(iter(holders)), holders

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ class TestTrainConfig:
         # mse has no mining, so batch_size 1 is fine there
         TrainConfig(loss_kind="mse", batch_size=1)
 
-    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_step_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -287,6 +289,18 @@ class TestTrain:
         first = lines[2].split(",")
         assert first[0] == "0"
         assert float(first[3]) == pytest.approx(run.trace[0][2], rel=1e-9)
+
+
+    @pytest.mark.parametrize("comment", [None, ""])
+    def test_loss_trace_lines_without_a_comment(self, tmp_path, comment):
+        run = SimpleNamespace(trace=[(0.5, 0.0, 0.5), (1 / 3, 1e-07, 2.5e6)])
+        path = tmp_path / "trace.csv"
+        write_loss_trace(run, path, header_comment=comment)
+        assert path.read_text().splitlines() == [
+            "epoch,erm,penalty,total",
+            "0,0.5,0,0.5",
+            "1,0.3333333333,1e-07,2500000",
+        ]
 
 
 class TestCheckpoint:
