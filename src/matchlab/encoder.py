@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -208,13 +207,16 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class BatchEncodeResult:
     """One batched forward: the unit rows (zero where ``ok`` is False) and what
-    the backward replays, the views, their pre-normalization norms and, with
-    dropout, the keep mask of occurrence j of row i at ``keep[i, j]``."""
+    the backward replays: the pre-normalization norms, the padded id matrix
+    (a plain row's ids ascending, a dropout row's in sentence order), its
+    mask of real positions (row i's first len(sentences[i])), the rates and,
+    with dropout, the keep mask of occurrence j of row i at ``keep[i, j]``."""
 
     embeddings: np.ndarray
     ok: np.ndarray
     norms: np.ndarray
-    sentences: Sequence[Sequence[int]]
+    ids: np.ndarray
+    real: np.ndarray
     rates: Sequence[float]
     keep: np.ndarray | None
 
@@ -258,29 +260,36 @@ def encode_batch(
         vectors = vectors * keep
     # Padding is left out, so each row sums exactly as encode's does.
     real = np.greater.outer(lengths, np.arange(width))
-    sums = vectors.sum(axis=1, where=real[..., None])
+    sums = np.add.reduce(vectors, axis=1, where=real[..., None])
     if keep is not None:
         sums = sums / (1.0 - np.array(rates))[:, None]
     norms = np.sqrt(row_dots(sums, sums))
     # An empty or degenerate sum fails; a non-finite one encodes, as in encode.
-    ok = ~(bad_id.any(axis=1) | (norms <= NORM_EPS))
+    ok = ~(np.logical_or.reduce(bad_id, axis=1) | (norms <= NORM_EPS))
     emb = np.divide(sums, norms[:, None], out=np.zeros((n, d)), where=ok[:, None])
-    return BatchEncodeResult(emb, ok, norms, sentences, rates, keep)
+    return BatchEncodeResult(emb, ok, norms, ids, real, rates, keep)
 
 
-def sum_rows(keys: list[int], values: np.ndarray) -> tuple[list[int], np.ndarray]:
+def sum_rows(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``values`` summed per integer key, keys in order of first
-    appearance. A key's rows are added in the order they come, onto -0.0, so
-    a key with one row keeps it bit for bit."""
-    index: dict[int, int] = {}
-    slot = [index.setdefault(key, len(index)) for key in keys]
-    if len(index) == len(slot):
+    appearance. A stable sort groups the keys, and one ``np.add.at`` over a
+    flat index (its fast path) adds a key's rows in the order they come onto
+    -0.0: one row stays bit for bit, and rows all -0.0 sum to -0.0."""
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    new = ranked[1:] != ranked[:-1]
+    if np.count_nonzero(new) == len(new):  # no key repeats
         return keys, values
-    n, d = len(index), values.shape[1]
-    out = np.full(n * d, -0.0)
-    # One flat index per entry, in row order: np.add.at's fast 1-d path.
-    np.add.at(out, (np.array(slot)[:, None] * d + np.arange(d)).ravel(), values.ravel())
-    return list(index), out.reshape(n, d)
+    head = np.empty(len(keys), dtype=bool)  # a key's first row in sorted order
+    head[0], head[1:] = True, new
+    first = order[head]  # where each key first appears, keys ascending
+    n, d = len(first), values.shape[1]
+    out = np.empty(n * d)  # sorted row i adds to slot head.cumsum()[i] - 1
+    out.fill(-0.0)
+    np.add.at(out, (head.cumsum()[:, None] * d + np.arange(-d, 0)).ravel(),
+              values.take(order, axis=0).ravel())
+    by_first = first.argsort()
+    return keys.take(first.take(by_first)), out.reshape(n, d).take(by_first, axis=0)
 
 
 def relevance(model: EmbeddingModel, x: Sentence, z: Sentence) -> float:
@@ -292,38 +301,49 @@ def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.
     """Gradient of upstream^T result.embedding w.r.t. the touched table rows of
     the model and view that produced ``result``: the one-row
     :func:`encode_batch_backward`."""
-    u = result.embedding
+    u, s = result.embedding, result.token_ids
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != u.shape:
         raise ValueError(f"upstream must have shape {u.shape}, got {upstream.shape}")
+    ids = np.array([s if result.rate else sorted(s)], dtype=np.intp)
+    keep = None if result.keep is None else result.keep[None]
     view = BatchEncodeResult(u[None], np.ones(1, dtype=bool),
-                             np.array([np.linalg.norm(result.prenorm_sum)]),
-                             [result.token_ids], [result.rate],
-                             None if result.keep is None else result.keep[None])
-    return dict(zip(*encode_batch_backward(view, [0], upstream[None])))
+                             np.array([np.linalg.norm(result.prenorm_sum)]), ids,
+                             np.ones(ids.shape, dtype=bool), [result.rate], keep)
+    keys, grads = encode_batch_backward(view, [0], upstream[None])
+    return dict(zip(keys.tolist(), grads))
 
 
 def encode_batch_backward(
     result: BatchEncodeResult, rows: Sequence[int], upstream: np.ndarray
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the sum over uses i of ``upstream[i]`` dotted with embedding
-    row ``rows[i]``: the token ids in order of first appearance and one
-    gradient row each. Use by use, a plain view adds each distinct id's count
-    times the use's projected row, ids ascending; a dropout view adds, per
-    occurrence, that row masked by the occurrence's keep row. One
-    :func:`sum_rows` adds every contribution in that order onto -0.0."""
+    row ``rows[i]``: the token ids in order of first appearance and one row
+    each. A plain use adds each distinct id's count times its projected row,
+    ids ascending; a dropout use adds that row masked by each occurrence's
+    keep row. Both read the forward's id matrix, where a run of equal ids
+    along a plain row is one distinct id and a dropout row's every position
+    a run of one. One :func:`sum_rows` adds all of it in use order onto
+    -0.0, so a token whose every contribution is -0.0 gets -0.0."""
+    rows = np.asarray(rows, dtype=np.intp)
     u = result.embeddings.take(rows, axis=0)
     g = (upstream - u * row_dots(u, upstream)[:, None]) / result.norms.take(rows)[:, None]
-    uses, tokens, count, occurrence = [], [], [], []  # occurrence: (view row, position)
-    for i, r in enumerate(rows):
-        s = result.sentences[r]
-        ids = s if result.rates[r] else sorted(set(s))
-        uses += repeat(i, len(ids))
-        tokens += ids
-        count += [1] * len(s) if result.rates[r] else map(s.count, ids)
-        occurrence += zip(repeat(r), range(len(ids)))  # a plain row's keep is all True
-    grads = np.array(count)[:, None] * g.take(uses, axis=0)
+    real = result.real.take(rows, axis=0)
+    use, j = real.nonzero()
+    tok = result.ids.take(rows, axis=0)[real]  # the uses' ids, flat in use order
+    # A run starts each use, each new id of a plain row (whose ids ascend) and
+    # every position of a dropout row; a last sentinel closes the last run.
+    start = np.empty(len(tok) + 1, dtype=bool)
+    start[0] = start[-1] = True
+    np.not_equal(tok[1:], tok[:-1], out=start[1:-1])
+    start[1:-1] |= j[1:] == 0
     if result.keep is not None:
-        row, j = np.array(occurrence, dtype=np.intp).reshape(-1, 2).T
-        grads = result.keep[row, j] * grads / (1.0 - np.array(result.rates))[row, None]
-    return sum_rows(tokens, grads)
+        rates = np.asarray(result.rates).take(rows)
+        start[:-1] |= (rates != 0.0).take(use)
+    at = start.nonzero()[0]
+    count, at = at[1:] - at[:-1], at[:-1]
+    use = use.take(at)
+    grads = count[:, None] * g.take(use, axis=0)
+    if result.keep is not None:
+        grads = result.keep[rows.take(use), j.take(at)] * grads / (1.0 - rates)[use, None]
+    return sum_rows(tok.take(at), grads)

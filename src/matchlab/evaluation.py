@@ -204,6 +204,8 @@ def evaluate(
         raise EvalError("corpus has no queries")
     if not corpus.items:
         raise EvalError("corpus has no items")
+    if not ks:
+        raise EvalError("ks must name at least one k")
     for k in ks:
         if k < 1:
             raise EvalError(f"k must be >= 1, got {k}")

@@ -25,7 +25,7 @@ import logging
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import groupby
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -160,24 +160,23 @@ class Batch:
     augmented: list[AugmentedPair] = field(default_factory=list)
 
 
-class _Term(NamedTuple):
-    """One term of a loss: its rule, theta views as (sentence, rate, seed) in
-    the order their gradients add, frozen-base anchors and a target. hinge:
-    views (x, z-, z+); residual: (a^T b - target)^2 over views (a, b); itvreg:
-    the residual against the base cosine of anchors (a, b); outreg: view x
-    against anchor x."""
+class _Terms(NamedTuple):
+    """Terms of one rule and one weight (all fitting or all penalty): per term
+    its theta views as (sentence, rate, seed) in the order their gradients
+    add, and its target (None: 1.0). hinge: views (x, z-, z+); residual: (a^T
+    b - target)^2 over views (a, b); itvreg: the residual against the base
+    cosine of views (a, b); outreg: view x against the base model's x."""
 
     rule: str
-    views: tuple
-    anchors: tuple = ()
-    target: float = 1.0
+    views: list
+    targets: list | None = None
 
 
 def _view(sentence: Sentence, rate: float = 0.0, seed: int = 0) -> tuple:
     return tuple(sentence), rate, seed if rate else 0
 
 
-def _rule(rule: str, v: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rule(rule: str, v: np.ndarray, target: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and upstream rows of terms of one rule, from their unit rows
     ``v``: the views, then the anchors. One upstream row per view."""
     a, b = v[:, 0], v[:, 1]
@@ -195,98 +194,107 @@ def _rule(rule: str, v: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
 def _kernel(
     theta: EmbeddingModel,
     theta0: EmbeddingModel | None,
-    terms: list[_Term],
-    n_fits: int,
+    fits: list[_Terms],
+    penalties: list[_Terms],
     lam: float,
     skipped: int = 0,
 ) -> LossValue:
-    """The mean of the fitting terms ``terms[:n_fits]`` plus lam times the
-    mean of the penalty terms after them. Each distinct view is encoded once
-    per model and one backward runs for all terms.
-
-    A term with a view that does not encode is dropped: a penalty term is
-    counted as skipped, a fitting term only when its views are degenerate (an
-    empty sentence or a bad id raises), and DegenerateNormError is raised when
-    no fitting term remains. Each view's upstream row carries its term's
-    weight, 1/n_fit or lam/n_pen, and the backward adds the views' gradients
-    token by token in term order."""
+    """The mean of the fitting terms plus lam times the mean of the penalty
+    terms. Each distinct view is encoded once per model (outreg's and
+    itvreg's sentences under theta0 too), a part is one (terms x views) row
+    matrix, and one backward runs for all terms. A term with a view that does
+    not encode is dropped: a penalty term is counted as skipped, a fitting
+    term only when its views are degenerate (an empty sentence or a bad id
+    raises), and DegenerateNormError is raised when no fitting term remains.
+    Each view's upstream row carries its term's weight, 1/n_fit or
+    lam/n_pen, and the backward adds the views' gradients in term order."""
+    parts = fits + [p for p in penalties if p.views]
     views: dict[tuple, int] = {}
-    rows = [[views.setdefault(v, len(views)) for v in t.views] for t in terms]
+    rows = [[[views.setdefault(v, len(views)) for v in term] for term in p.views] for p in parts]
     base: dict[tuple, int] = {}  # anchor rows follow the view rows
-    rows_of = [r + [base.setdefault(a, len(views) + len(base)) for a in t.anchors]
-               for r, t in zip(rows, terms)]
+    for p, part in zip(parts, rows):
+        for r, term in zip(part, p.views if p.rule in ("outreg", "itvreg") else ()):
+            r += [base.setdefault(v[0], len(views) + len(base)) for v in term]
     enc = encode_batch(theta, *zip(*views))
-    emb, good = enc.embeddings, enc.ok.tolist()
+    emb, good = enc.embeddings, enc.ok
     if base:
         check_shared_vocab(theta, theta0)
         enc0 = encode_batch(theta0, list(base))
-        emb, good = np.concatenate((emb, enc0.embeddings)), good + enc0.ok.tolist()
-    ok = [all(map(good.__getitem__, r)) for r in rows_of]
-    for view in (v for t, k in zip(terms[:n_fits], ok) if not k for v in t.views):
-        exc = encode_error(theta, view[0], enc.norms[views[view]])
-        if not isinstance(exc, DegenerateNormError):  # an empty sentence or a bad id
-            raise exc
-    n_fit, n_pen = sum(ok[:n_fits]), sum(ok[n_fits:])
+        emb, good = np.concatenate((emb, enc0.embeddings)), np.concatenate((good, enc0.ok))
+    rows = [np.array(r, dtype=np.intp) for r in rows]  # (terms, views + anchors) per part
+    targets = [None if p.targets is None else np.array(p.targets) for p in parts]
+    n_terms = list(map(len, rows))
+    if np.count_nonzero(good) < len(good):  # drop each term with a view that does not encode
+        ok = [np.logical_and.reduce(good[r], axis=1) for r in rows]
+        keys = list(views)
+        for row in np.concatenate([r[~k].ravel() for r, k in zip(rows[:len(fits)], ok)]):
+            exc = encode_error(theta, keys[row][0], enc.norms[row])
+            if not isinstance(exc, DegenerateNormError):  # an empty sentence or a bad id
+                raise exc
+        rows = [r[k] for r, k in zip(rows, ok)]
+        targets = [t if t is None else t[k] for t, k in zip(targets, ok)]
+    n_fit, n_pen = sum(map(len, rows[:len(fits)])), sum(map(len, rows[len(fits):]))
     if not n_fit:
         raise DegenerateNormError("every example of the batch has a degenerate view")
 
-    groups: dict[str, list[int]] = {}
-    for i in compress(range(len(terms)), ok):
-        groups.setdefault(terms[i].rule, []).append(i)
-    w_fit, w_pen = 1.0 / n_fit, lam / n_pen if n_pen else 0.0
-    values = [0.0] * len(terms)
-    upstream: dict[int, np.ndarray] = {}  # a weighted row per view of each term with a gradient
-    for rule, idx in groups.items():
-        val, up = _rule(rule, emb.take([rows_of[i] for i in idx], axis=0),
-                        np.array([terms[i].target for i in idx]))
-        up = up * np.where(np.array(idx) < n_fits, w_fit, w_pen)[:, None, None]
-        for i, x, u in zip(idx, val.tolist(), up):
-            if rule != "hinge" or not x <= 0.0:  # the hinge's kink and below add nothing
-                values[i], upstream[i] = x, u
-
-    erm = penalty = 0.0  # each mean adds in order: sum() compensates from Python 3.12
-    for x in compress(values[:n_fits], ok):
-        erm += x
-    for x in compress(values[n_fits:], ok[n_fits:]):
-        penalty += x
-    erm /= n_fit
-    if n_pen:
-        penalty /= n_pen
-    if not upstream:
-        gradient = SparseGradient(np.zeros(0, dtype=np.int64), np.zeros((0, theta.dim)))
-    else:
-        on = sorted(upstream)
-        keys, grads = encode_batch_backward(enc, [r for i in on for r in rows[i]],
-                                            np.concatenate([upstream[i] for i in on]))
-        gradient = SparseGradient(np.array(keys, dtype=np.int64), grads)
+    means, weights = [0.0, 0.0], (1.0 / n_fit, lam / n_pen if n_pen else 0.0)
+    uses, upstream = [], []  # erm and penalty add in term order, as sum() did before 3.12
+    for i, (p, r, t) in enumerate(zip(parts, rows, targets)):
+        val, up = _rule(p.rule, emb.take(r, axis=0), 1.0 if t is None else t)
+        if p.rule == "hinge":  # at the kink and below a term adds nothing, not even 0.0
+            live = ~(val <= 0.0)
+            if np.count_nonzero(live) < len(live):
+                val, up, r = val[live], up[live], r[live]
+        for x in val.tolist():
+            means[i >= len(fits)] += x
+        if len(r):
+            uses.append(r[:, :up.shape[1]].ravel())
+            upstream.append((up * weights[i >= len(fits)]).reshape(-1, theta.dim))
+    erm, penalty = means[0] / n_fit, means[1] / n_pen if n_pen else 0.0
+    if len(uses) > 1:  # one part's arrays go as they are: concatenating one only copies it
+        uses, upstream = [np.concatenate(uses)], [np.concatenate(upstream)]
+    gradient = SparseGradient(*encode_batch_backward(enc, uses[0], upstream[0]) if uses else
+                              (np.zeros(0, dtype=np.intp), np.zeros((0, theta.dim))))
+    n_fits, n_pens = sum(n_terms[:len(fits)]), sum(n_terms[len(fits):])
     return LossValue(erm, penalty, erm + lam * penalty, gradient, n_penalty_terms=n_pen,
-                     n_skipped_penalty=skipped + len(terms) - n_fits - n_pen,
+                     n_skipped_penalty=skipped + n_pens - n_pen,
                      n_skipped_examples=n_fits - n_fit)
 
 
-def _fit_term(example) -> _Term:
-    if isinstance(example, ContrastiveExample):
-        return _Term("hinge", (_view(example.x), _view(example.z_neg), _view(example.z_pos)))
-    if isinstance(example, ScoredExample):
-        if not (-1.0 - 1e-9 <= example.relevance <= 1.0 + 1e-9):
-            raise ValueError(f"target {example.relevance} outside [-1, 1]")
-        return _Term("residual", (_view(example.x), _view(example.z)), target=example.relevance)
-    raise TypeError(f"unsupported example type {type(example).__name__}")
+def _fit_terms(examples) -> list[_Terms]:
+    """The fitting terms of ``examples``, one part per run of one kind."""
+    parts = []
+    for kind, run in groupby(examples, type):
+        if issubclass(kind, ContrastiveExample):
+            parts.append(_Terms("hinge", [(_view(e.x), _view(e.z_neg), _view(e.z_pos))
+                                          for e in run]))
+        elif issubclass(kind, ScoredExample):
+            run = list(run)
+            bad = [e.relevance for e in run if not -1.0 - 1e-9 <= e.relevance <= 1.0 + 1e-9]
+            if bad:
+                raise ValueError(f"target {bad[0]} outside [-1, 1]")
+            parts.append(_Terms("residual", [(_view(e.x), _view(e.z)) for e in run],
+                                [e.relevance for e in run]))
+        else:
+            raise TypeError(f"unsupported example type {kind.__name__}")
+    return parts
 
 
-def _penalty_term(kind: str, x: Sentence, x_prime: Sentence = (), seeds: tuple = (0, 0),
-                  rate: float = 0.0) -> _Term:
-    if kind == "outreg":
-        return _Term("outreg", (_view(x),), (tuple(x),))
+def _penalty_terms(kind: str, xs: list, x_primes=(), seeds=(), rate: float = 0.0) -> _Terms:
+    """The penalty terms of ``kind`` over sentences ``xs``, with their masked
+    views ``x_primes`` (itvreg, maskreg) or a seed pair each (simcse)."""
     if kind == "simcse":
-        return _Term("residual", (_view(x, rate, seeds[0]), _view(x, rate, seeds[1])))
-    anchors = (tuple(x), tuple(x_prime)) if kind == "itvreg" else ()
-    return _Term(kind if anchors else "residual", (_view(x), _view(x_prime)), anchors)
+        return _Terms("residual", [(_view(x, rate, a), _view(x, rate, b))
+                                   for x, (a, b) in zip(xs, seeds)])
+    if kind == "outreg":
+        return _Terms("outreg", [(_view(x),) for x in xs])
+    return _Terms("itvreg" if kind == "itvreg" else "residual",
+                  [(_view(x), _view(x_prime)) for x, x_prime in zip(xs, x_primes)])
 
 
-def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, term: _Term) -> LossValue:
+def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, part: _Terms) -> LossValue:
     # One penalty term, reported as a penalty of weight 1; a bad view raises.
-    lv = _kernel(theta, theta0, [term], 1, 0.0)
+    lv = _kernel(theta, theta0, [part], [], 0.0)
     return LossValue(0.0, lv.erm, lv.total, lv.gradient)
 
 
@@ -294,7 +302,7 @@ def contrastive_loss(
     theta: EmbeddingModel, x: Sentence, z_pos: Sentence, z_neg: Sentence
 ) -> LossValue:
     """Hinge max(0, 1 + f(X)^T f(Z-) - f(X)^T f(Z+)); subgradient 0 at the kink."""
-    return _kernel(theta, None, [_fit_term(ContrastiveExample(x, z_pos, z_neg))], 1, 0.0)
+    return _kernel(theta, None, _fit_terms([ContrastiveExample(x, z_pos, z_neg)]), [], 0.0)
 
 
 def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> LossValue:
@@ -303,12 +311,12 @@ def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> 
     Targets may lie anywhere in [-1, 1]: corpus relevance grades use [0, 1],
     augmented-pair targets are base-model cosines.
     """
-    return _kernel(theta, None, [_fit_term(ScoredExample(x, z, target))], 1, 0.0)
+    return _kernel(theta, None, _fit_terms([ScoredExample(x, z, target)]), [], 0.0)
 
 
 def outreg_penalty(theta: EmbeddingModel, theta0: EmbeddingModel, x: Sentence) -> LossValue:
     """|| f_theta(X) - f_theta0(X) ||^2; in [0, 4] for unit outputs."""
-    return _alone(theta, theta0, _penalty_term("outreg", x))
+    return _alone(theta, theta0, _penalty_terms("outreg", [x]))
 
 
 def itvreg_penalty(
@@ -316,19 +324,19 @@ def itvreg_penalty(
 ) -> LossValue:
     """Squared gap between theta's and theta0's similarity drop under the
     same intervention; zero whenever theta tracks the base model's response."""
-    return _alone(theta, theta0, _penalty_term("itvreg", x, x_prime))
+    return _alone(theta, theta0, _penalty_terms("itvreg", [x], [x_prime]))
 
 
 def maskreg_penalty(theta: EmbeddingModel, x: Sentence, x_prime: Sentence) -> LossValue:
     """(f(X)^T f(X') - 1)^2: push masked views to look identical."""
-    return _alone(theta, None, _penalty_term("maskreg", x, x_prime))
+    return _alone(theta, None, _penalty_terms("maskreg", [x], [x_prime]))
 
 
 def simcse_penalty(
     theta: EmbeddingModel, x: Sentence, seed_a: int, seed_b: int, rate: float
 ) -> LossValue:
     """(f(X, s)^T f(X, s') - 1)^2 over two dropout views of the same sentence."""
-    return _alone(theta, None, _penalty_term("simcse", x, seeds=(seed_a, seed_b), rate=rate))
+    return _alone(theta, None, _penalty_terms("simcse", [x], seeds=[(seed_a, seed_b)], rate=rate))
 
 
 def intervention_seed(batch_seed: int, index: int, draw: int = 0) -> int:
@@ -369,9 +377,7 @@ def build_itvaug(
              in zip(masked, row_dots(a, b), a_ok & b_ok) if ok]
     skipped = take - len(pairs)
     if skipped:
-        logger.warning(
-            "build_itvaug skipped %d of %d selected queries", skipped, take
-        )
+        logger.warning("build_itvaug skipped %d of %d selected queries", skipped, take)
     return pairs
 
 
@@ -396,28 +402,28 @@ def total_loss(
     if config.kind in ("outreg", "itvreg") and theta0 is None:
         raise ValueError(f"{config.kind} requires a base model")
 
-    fits = [_fit_term(ex) for ex in batch.examples]
-    penalties: list[_Term] = []
-    skipped = 0
+    fits, penalties, skipped = _fit_terms(batch.examples), [], 0
     if config.kind == "itvaug":
-        penalties = [_Term("residual", (_view(ap.x), _view(ap.x_prime)), target=ap.target)
-                     for ap in batch.augmented]
+        aug = batch.augmented
+        penalties = [_Terms("residual", [(_view(ap.x), _view(ap.x_prime)) for ap in aug],
+                            targets=[ap.target for ap in aug])]
     elif config.kind != "none":
         # Penalties see queries and items alike.
-        sentences = [s for ex in batch.examples for s in
-                     (ex.x, ex.z_pos if isinstance(ex, ContrastiveExample) else ex.z)]
+        xs = [s for ex in batch.examples
+              for s in (ex.x, ex.z_pos if isinstance(ex, ContrastiveExample) else ex.z)]
         if config.kind == "outreg":
-            penalties = [_penalty_term("outreg", x) for x in sentences]
+            penalties = [_penalty_terms("outreg", xs)]
         else:
             # seeds[i, draw] is intervention_seed(batch.seed, i, draw), one hash for all.
-            seeds = counter_hash(seed_words([batch.seed]), np.arange(len(sentences))[:, None],
+            seeds = counter_hash(seed_words([batch.seed]), np.arange(len(xs))[:, None],
                                  np.arange(2 if config.kind == "simcse" else 1))
             if config.kind == "simcse":
-                penalties = [_penalty_term("simcse", x, seeds=pair, rate=config.dropout_rate)
-                             for x, pair in zip(sentences, seeds.tolist())]
+                penalties = [_penalty_terms("simcse", xs, seeds=seeds.tolist(),
+                                            rate=config.dropout_rate)]
             else:
-                masked = mask_fractions(sentences, config.resolved_mask_fraction, seeds[:, 0])
-                penalties = [_penalty_term(config.kind, x, x_prime)
-                             for x, x_prime in zip(sentences, masked) if x_prime is not None]
-                skipped = len(sentences) - len(penalties)
-    return _kernel(theta, theta0, fits + penalties, len(fits), config.lam, skipped)
+                masked = mask_fractions(xs, config.resolved_mask_fraction, seeds[:, 0])
+                kept = [(x, x_prime) for x, x_prime in zip(xs, masked) if x_prime is not None]
+                skipped = len(xs) - len(kept)
+                penalties = [_penalty_terms(config.kind, [x for x, _ in kept],
+                                            [x_prime for _, x_prime in kept])]
+    return _kernel(theta, theta0, fits, penalties, config.lam, skipped)

@@ -152,6 +152,7 @@ class _SparseAdam:
         self.m: np.ndarray | None = None  # (V, d), made at the first step
         self.v: np.ndarray | None = None
         self.t: np.ndarray | None = None  # per-row update count
+        self.corr = np.zeros((0, 2))  # row k: 1 - beta1**k, 1 - beta2**k
 
     def step(self, table: np.ndarray, grads: Mapping[int, np.ndarray]) -> None:
         if not len(grads):
@@ -168,9 +169,14 @@ class _SparseAdam:
         v = self.beta2 * self.v[ids] + (1.0 - self.beta2) * (g * g)
         self.m[ids] = m
         self.v[ids] = v
-        # Python's ** per row: np.power rounds some of these powers differently.
-        m_hat = m / np.array([1.0 - self.beta1 ** k for k in t.tolist()])[:, None]
-        v_hat = v / np.array([1.0 - self.beta2 ** k for k in t.tolist()])[:, None]
+        # The table holds Python's ** (np.power rounds some of these powers
+        # differently) and doubles when a count outgrows it.
+        if t.max() >= len(self.corr):
+            self.corr = np.array([(1.0 - self.beta1 ** k, 1.0 - self.beta2 ** k)
+                                  for k in range(2 * int(t.max()) + 1)])
+        corr = self.corr[t]
+        m_hat = m / corr[:, :1]
+        v_hat = v / corr[:, 1:]
         table[ids] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

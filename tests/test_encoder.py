@@ -33,6 +33,8 @@ from matchlab import (
     total_loss,
 )
 
+from matchlab.encoder import encode_batch_backward, sum_rows
+
 from conftest import fd_gradient, grad_rel_error, make_vocab, model_from_rows, random_model
 
 INV_SQRT2 = 0.7071067811865475  # 1/sqrt(2)
@@ -209,6 +211,30 @@ class TestEncodeBackward:
         fd = fd_gradient(lambda: float(g @ encode(model, (1, 1, 2)).embedding),
                          model, {1, 2})
         assert grad_rel_error(grads, fd, model.dim) < 1e-5
+
+    def test_all_negative_zero_contributions_sum_to_negative_zero(self):
+        # positive rows under a -0.0 upstream: every contribution is -0.0, and
+        # token 1 takes three of them (count 2 twice, count 1 once)
+        model = model_from_rows([[0.5, 0.25, 1.0], [0.75, 0.5, 0.125]])
+        res = encode_batch(model, [(1, 1, 2), (2, 1)])
+        keys, grads = encode_batch_backward(res, [0, 1, 0], np.full((3, 3), -0.0))
+        assert keys.tolist() == [1, 2]
+        assert not grads.any() and np.signbit(grads).all()
+
+    def test_sum_rows_adds_onto_negative_zero(self):
+        keys, rows = sum_rows(np.array([4, 2, 4]),
+                              np.array([[-0.0, 1.0], [3.0, -0.0], [-0.0, -1.0]]))
+        assert keys.tolist() == [4, 2]
+        assert rows.tolist() == [[0.0, 0.0], [3.0, 0.0]]
+        assert np.signbit(rows).tolist() == [[True, False], [False, True]]
+
+    def test_no_uses(self):
+        model = random_model(4, 3, np.random.default_rng(5))
+        res = encode_batch(model, [(1, 2), (3,)])
+        keys, grads = encode_batch_backward(res, np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
+        assert keys.shape == (0,) and grads.shape == (0, 3)
+        keys, grads = sum_rows(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
+        assert keys.shape == (0,) and grads.shape == (0, 3)
 
 
 class TestDropout:

@@ -366,6 +366,13 @@ class TestEvaluate:
         with pytest.raises(EvalError, match=f"n_bins must be >= 1, got {n_bins}"):
             evaluate(model, corpus, ks=(1,), n_bins=n_bins)
 
+    @pytest.mark.parametrize("ks", [(), []])
+    def test_empty_k_list_rejected(self, ks):
+        # the CLI rejects an empty --ks; the API does too, not with an empty report
+        corpus, model = _eval_corpus_and_model(seed=3)
+        with pytest.raises(EvalError, match="at least one k"):
+            evaluate(model, corpus, ks=ks, n_bins=2)
+
     @pytest.mark.parametrize("n_bins", [7, 100])
     def test_bin_count_above_item_count_rejected(self, n_bins):
         corpus, model = _eval_corpus_and_model(seed=3)

@@ -453,6 +453,17 @@ class TestTotalLoss:
         assert lv.n_penalty_terms == 1
         assert lv.penalty == mse_loss(model, (3, 4), (3,), 0.9).total
 
+    def test_every_penalty_term_skipped_leaves_the_fitting_mean(self):
+        model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        batch = Batch(examples=[ScoredExample((3,), (4,), 0.2)], seed=0,
+                      augmented=[AugmentedPair((1, 2), (1,), 0.5)])
+        lv = total_loss(model, None, batch, RegularizerConfig(kind="itvaug", lam=0.5))
+        single = mse_loss(model, (3,), (4,), 0.2)
+        assert (lv.n_penalty_terms, lv.n_skipped_penalty, lv.penalty) == (0, 1, 0.0)
+        assert lv.total == lv.erm == single.total
+        assert lv.gradient.ids.tolist() == single.gradient.ids.tolist()
+        assert lv.gradient.rows.tobytes() == single.gradient.rows.tobytes()
+
     def test_unencodable_example_raises_encode_error(self):
         # an empty sentence or a bad id is an error in the data, not a
         # degenerate view to skip, and the message is encode's

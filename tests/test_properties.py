@@ -136,7 +136,42 @@ def test_batched_backward_is_encode_backward_bit_for_bit(case):
     keys, grads = encode_batch_backward(result, np.array([uses[i] for i in used], dtype=np.intp),
                                         upstream[used])
     ref_keys, ref_grads = reference.encode_batch_backward(views, upstream[used])
-    assert keys == ref_keys
+    assert keys.tolist() == ref_keys
+    assert grads.tobytes() == ref_grads.tobytes()
+
+
+@st.composite
+def batch_views_and_uses(draw):
+    """A batch-sized backward: 8 to 16 views over a vocabulary of at most six
+    tokens, so ids repeat within and across rows, a row with a repeated id,
+    plain and dropout rows both present, and 32 to 48 uses, so some row is
+    used several times."""
+    dim = draw(st.integers(2, 4))
+    model = model_from_rows(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                          min_size=2, max_size=5)))
+    v = model.vocab_size
+    sentences = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=8)
+                              .map(tuple), min_size=8, max_size=16))
+    sentences[0] += sentences[0][:1]
+    rates = [0.0, 0.3] + [draw(st.sampled_from([0.0, 0.3, 0.6])) for _ in sentences[2:]]
+    seeds = [draw(st.integers(0, 2**32)) for _ in sentences]
+    uses = draw(st.lists(st.integers(0, len(sentences) - 1), min_size=32, max_size=48))
+    upstream = np.array(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                      min_size=len(uses), max_size=len(uses))))
+    return model, sentences, rates, seeds, uses, upstream
+
+
+@PROPERTY
+@given(batch_views_and_uses())
+def test_batch_scale_backward_is_the_flat_per_token_sum(case):
+    model, sentences, rates, seeds, uses, upstream = case
+    result = encode_batch(model, sentences, rates, seeds)
+    used = [i for i, row in enumerate(uses) if result.ok[row]]
+    rows = np.array([uses[i] for i in used], dtype=np.intp)
+    keys, grads = encode_batch_backward(result, rows, upstream[used])
+    views = [encode(model, sentences[r], rates[r], seeds[r]) for r in rows.tolist()]
+    ref_keys, ref_grads = reference.encode_batch_backward(views, upstream[used])
+    assert keys.tolist() == ref_keys
     assert grads.tobytes() == ref_grads.tobytes()
 
 

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, the
-intervention stream builds no random generator, and one function holds the
-artifact float format."""
+intervention stream builds no random generator, one function holds the
+artifact float format, and the backward holds no Python loop."""
 
 from __future__ import annotations
 
@@ -70,3 +70,23 @@ def test_one_function_holds_the_float_format():
                 innermost = min(inner, key=lambda f: f.end_lineno - f.lineno, default=None)
                 holders.add((path.name, innermost and innermost.name))
     assert len(holders) == 1 and None not in next(iter(holders)), holders
+
+
+# The backward and its summing pass work on whole arrays: a per-use or
+# per-token Python loop there costs more than the rest of a batch's backward.
+ARRAY_ONLY = {"encoder": ("encode_batch_backward", "sum_rows")}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+@pytest.mark.parametrize("module,function",
+                         [(m, f) for m, names in ARRAY_ONLY.items() for f in names])
+def test_backward_holds_no_python_loop(module, function):
+    path = Path(matchlab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == function]
+    assert len(defs) == 1, f"{module}.{function} not found"
+    loops = [(type(node).__name__, node.lineno) for node in ast.walk(defs[0])
+             if isinstance(node, LOOPS)]
+    assert not loops, f"{module}.{function} loops in Python: {loops}"
