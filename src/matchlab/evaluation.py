@@ -11,7 +11,8 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, _frequency_bins, interpolate_ood, write_table
+from .corpus import (Corpus, Sentence, Tokens, Vocab, _frequency_bins, interpolate_ood,
+                     write_table)
 from .encoder import EmbeddingModel, encode, encode_batch, encode_error, row_dots
 
 NO_TRUTH_BIN = -1
@@ -27,10 +28,25 @@ class RankingResult:
     excluded: list[str] = field(default_factory=list)
 
 
-# The last catalogue encoded: (key, the in-vocabulary token ids its items
-# read, the bytes of those table rows, ids, excluded ids, read-only rows).
-# Rebound whole, never updated in place.
+# The last catalogue encoded: (its items as a dict of tuples, the table's
+# shape and dtype, the in-vocabulary token ids its items read, the bytes of
+# those table rows, ids, excluded ids, read-only rows). Rebound whole, never
+# updated in place.
 _last_catalogue: tuple | None = None
+
+# The last token catalogue ``evaluate`` mapped to ids: (its items as a dict of
+# tuples, a copy of the vocabulary's token_to_id, the id catalogue). Rebound
+# whole, never updated in place.
+_last_item_ids: tuple | None = None
+
+
+def _equal(a: object, b: object) -> bool:
+    """True when ``a == b`` returns True; False when it returns anything else
+    or raises ValueError, as a mapping whose values are numpy arrays does."""
+    try:
+        return (a == b) is True
+    except ValueError:
+        return False
 
 
 def _encode_items(
@@ -40,27 +56,78 @@ def _encode_items(
     ids ascending.
 
     A catalogue equal to the last one encoded, under a table of the same
-    shape whose rows the items read hold the same bytes, reuses the last
-    encoding: those rows are all ``encode_batch`` reads of the table, so the
-    result is the one it would compute."""
+    shape and dtype whose rows the items read hold the same bytes, reuses the
+    last encoding: those rows are all ``encode_batch`` reads of the table, so
+    the result is the one it would compute. Equal means one ``items ==`` the
+    last catalogue's dict of tuples returns True, else, as when the items
+    are lists or arrays, each ``tuple(items[id])`` equals the last one's.
+    ``evaluate`` passes the id catalogue its token memo (``_item_ids``, keyed
+    on ``corpus.items`` and ``vocab.token_to_id``) returns, so it and
+    ``rank_items`` share one entry; both then rank through ``_top_k``."""
     global _last_catalogue
-    all_ids = sorted(items)
-    sentences = [tuple(items[iid]) for iid in all_ids]
-    key = (theta.table.shape, theta.table.dtype, all_ids, sentences)
+    table = theta.table
+    snapshot = None  # the items as a dict of tuples, once built
     if _last_catalogue is not None:
-        last_key, read, snapshot, ids, excluded, rows = _last_catalogue
-        if last_key == key and theta.table.take(read, axis=0).tobytes() == snapshot:
-            return ids, list(excluded), rows
+        last, form, read, row_bytes, ids, excluded, rows = _last_catalogue
+        if form == (table.shape, table.dtype):
+            if not _equal(items, last):
+                snapshot = {iid: tuple(s) for iid, s in items.items()}
+            if ((snapshot is None or _equal(snapshot, last))
+                    and table.take(read, axis=0).tobytes() == row_bytes):
+                return ids, list(excluded), rows
+    if snapshot is None:
+        snapshot = {iid: tuple(s) for iid, s in items.items()}
+    all_ids = sorted(snapshot)
+    sentences = [snapshot[iid] for iid in all_ids]
     enc = encode_batch(theta, sentences)
     ids = [iid for iid, good in zip(all_ids, enc.ok) if good]
     excluded = [iid for iid, good in zip(all_ids, enc.ok) if not good]
     rows = enc.embeddings[enc.ok]
     rows.setflags(write=False)
-    tokens = np.fromiter(set().union(*sentences), dtype=np.intp)
-    read = tokens[(tokens >= 0) & (tokens < theta.vocab_size)]
-    _last_catalogue = (key, read, theta.table.take(read, axis=0).tobytes(),
-                       ids, excluded, rows)
+    tokens = enc.ids[enc.real]
+    in_vocab = tokens[tokens.view(np.uintp) < theta.vocab_size]  # a negative id wraps past it
+    read = np.flatnonzero(np.bincount(in_vocab, minlength=theta.vocab_size))
+    _last_catalogue = (snapshot, (table.shape, table.dtype), read,
+                       table.take(read, axis=0).tobytes(), ids, excluded, rows)
     return ids, list(excluded), rows
+
+
+def _item_ids(vocab: Vocab, items: Mapping[str, Tokens]) -> dict[str, Sentence]:
+    """The items' token ids under ``vocab``, the last call's dict when the
+    items equal its dict of tuples and ``vocab.token_to_id`` its copy (each
+    one ``==``), for ``Vocab.encode`` reads nothing else."""
+    global _last_item_ids
+    if _last_item_ids is not None:
+        last, token_to_id, id_items = _last_item_ids
+        if _equal(items, last) and _equal(vocab.token_to_id, token_to_id):
+            return id_items
+    id_items = {iid: vocab.encode(toks) for iid, toks in items.items()}
+    _last_item_ids = ({iid: tuple(toks) for iid, toks in items.items()},
+                      dict(vocab.token_to_id), id_items)
+    return id_items
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The columns of each row's k highest scores, best first:
+    ``np.argsort(-scores, axis=-1, kind="stable")[..., :k]`` for one row or
+    a matrix, 1 <= k <= the column count.
+
+    A partition finds the k-th best score, every column scoring at least as
+    well is a candidate, and only the candidates are sorted, by score
+    descending, then column ascending. NaN sorts last, as in the full sort:
+    where the k-th best score is NaN, every column of the row is a
+    candidate."""
+    neg = -scores
+    if neg.ndim == 1:  # rank_items' one row: method calls keep its fixed cost low
+        kth = np.partition(neg, k - 1)[k - 1]
+        cols = np.arange(len(neg)) if np.isnan(kth) else (neg <= kth).nonzero()[0]
+        return cols[neg[cols].argsort(kind="stable")[:k]]
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    cand = (neg <= kth) | np.isnan(kth)
+    rows, cols = cand.nonzero()  # by row, columns ascending within a row
+    order = np.lexsort((neg[cand], rows))  # stable: tied scores keep column order
+    starts = rows.searchsorted(np.arange(len(neg)))
+    return cols[order[starts[:, None] + np.arange(k)]]
 
 
 def rank_items(
@@ -72,7 +139,9 @@ def rank_items(
     """Top-k items by relevance score, ties broken by ascending item id.
 
     The query must encode (errors propagate); items that fail to encode are
-    excluded and reported in the result.
+    excluded and reported in the result. The catalogue's encoding is reused
+    while it and the table rows it reads are unchanged (``_encode_items``),
+    and ``_top_k`` orders only the items that score at least the k-th best.
     """
     if not items:
         raise EvalError("no candidate items")
@@ -87,8 +156,8 @@ def rank_items(
             f"k={k} exceeds the {len(ids)} encodable items ({len(excluded)} excluded)"
         )
     scores = row_dots(rows, q)
-    order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id
-    ranked = [(ids[i], float(scores[i])) for i in order[:k]]
+    # ids ascend: ties go by id
+    ranked = [(ids[i], float(scores[i])) for i in _top_k(scores, k)]
     return RankingResult(ranked=ranked, excluded=excluded)
 
 
@@ -199,6 +268,13 @@ def evaluate(
     bin -1, so the mass-weighted bin means recompose the overall P@1.
     AUC(fpr<=0.05) is computed over labeled pairs when both label classes are
     present, else null. n_bins may not exceed the item count.
+
+    The items' token ids are reused while ``corpus.items`` and
+    ``vocab.token_to_id`` equal the copies the last call took
+    (``_item_ids``), and their encoding while those ids and the table rows
+    they read are unchanged (``_encode_items``, shared with ``rank_items``).
+    P@k reads each query's top max-feasible-k items from ``_top_k``, which
+    orders only the items scoring at least the k-th best.
     """
     if not corpus.queries:
         raise EvalError("corpus has no queries")
@@ -214,8 +290,7 @@ def evaluate(
         raise EvalError(f"n_bins must be >= 1, got {n_bins}")
 
     vocab = theta.vocab
-    item_ids, excluded, item_matrix = _encode_items(
-        theta, {iid: vocab.encode(toks) for iid, toks in corpus.items.items()})
+    item_ids, excluded, item_matrix = _encode_items(theta, _item_ids(vocab, corpus.items))
     if not item_ids:
         raise EvalError("no candidate item could be encoded")
 
@@ -252,8 +327,8 @@ def evaluate(
     ok[[col[iid] for iid in excluded]] = False
     scores = row_dots(item_matrix, q.embeddings[:, None])
     feasible = [k for k in ks if k <= len(item_ids)]
-    order = np.argsort(-scores, axis=1, kind="stable")  # ids ascend: ties go by id
-    order = order[:, :max(feasible, default=1)]  # top-1 exists whatever ks holds
+    # ids ascend, so ties go by id; top-1 exists whatever ks holds
+    order = _top_k(scores, max(feasible, default=1))
     hits = np.cumsum(np.take_along_axis(relevant[:, ok], order, axis=1), axis=1)
     hits_at = {k: hits[:, k - 1].tolist() for k in feasible}
 

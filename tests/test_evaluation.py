@@ -14,13 +14,16 @@ import math
 import numpy as np
 import pytest
 
+import matchlab.evaluation
 from matchlab import (
     Corpus,
     EncodeError,
     EvalError,
     EvalReport,
     Pair,
+    Vocab,
     auc_partial,
+    build_vocab,
     encode,
     evaluate,
     init_model,
@@ -226,6 +229,103 @@ class TestCatalogueMemo:
         evaluate(model, corpus, ks=(1,), n_bins=1).excluded_items.clear()
         assert evaluate(model, corpus, ks=(1,), n_bins=1).excluded_items == ["bad"]
         assert rank_items(model, (1,), items, k=1).excluded == ["bad"]
+
+    def test_array_valued_catalogue_ranks_as_today(self, encode_calls):
+        # Equal to the last catalogue by value, but ``items == snapshot``
+        # compares the arrays elementwise and raises: the tuple test decides.
+        model, items = self._catalogue(6)
+        first = rank_items(model, (1,), items, k=6)
+        arrays = {iid: np.array(s) for iid, s in items.items()}
+        encode_calls.clear()
+        assert rank_items(model, (1,), arrays, k=6) == first
+        assert rank_items(model, (1,), arrays, k=6) == first
+        assert encode_calls == [(1,), (1,)]
+        assert_encodes_as_each_item(model, {**arrays, "i0": np.array([3, 4])})
+
+    def test_nan_edited_into_the_table_ranks_last(self):
+        # A non-finite sum encodes, so the item scores NaN; the full stable
+        # sort puts it last, and so must a ranking of every item.
+        model = model_from_rows([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.9, 0.1]])
+        items = {"a": (2,), "b": (3,), "c": (4,)}
+        assert [iid for iid, _ in rank_items(model, (1,), items, k=3).ranked] == ["c", "a", "b"]
+        model.table[2, 0] = np.nan
+        ranked = rank_items(model, (1,), items, k=3).ranked
+        assert [iid for iid, _ in ranked] == ["c", "b", "a"]
+        assert math.isnan(ranked[2][1])
+
+
+@pytest.fixture
+def vocab_encodes(monkeypatch):
+    """The token tuples of every ``Vocab.encode`` call."""
+    calls = []
+    original = Vocab.encode
+
+    def counting(self, tokens):
+        calls.append(tuple(tokens))
+        return original(self, tokens)
+
+    monkeypatch.setattr(Vocab, "encode", counting)
+    return calls
+
+
+def evaluate_without_memos(*args, **kwargs):
+    """``evaluate`` with each item's tokens mapped and each item encoded on
+    its own, as if no catalogue had been seen before."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchlab.evaluation, "_encode_items", encode_each_item)
+        mp.setattr(matchlab.evaluation, "_item_ids", lambda vocab, items: {
+            iid: vocab.encode(toks) for iid, toks in items.items()})
+        return evaluate(*args, **kwargs)
+
+
+class TestTokenMemo:
+    """evaluate reuses the last token catalogue's ids while its items and the
+    vocabulary's token_to_id are equal to the copies it took, and only then."""
+
+    def test_second_evaluate_maps_only_the_queries(self, vocab_encodes):
+        corpus, model = _eval_corpus_and_model(seed=10)
+        first = evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        vocab_encodes.clear()
+        assert evaluate(model, corpus, ks=(1, 3), n_bins=2) == first
+        assert sorted(vocab_encodes) == sorted(corpus.queries.values())
+
+    @pytest.mark.parametrize("edit", ["token_to_id", "item_tokens", "table_row"])
+    def test_in_place_edit_misses(self, edit, vocab_encodes, encode_calls):
+        corpus, model = _eval_corpus_and_model(seed=11)
+        evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        first_item = corpus.items["i00"]
+        if edit == "token_to_id":  # two tokens the first item reads swap ids
+            t2i = model.vocab.token_to_id
+            a, b = first_item[0], next(t for t in t2i if t != first_item[0])
+            t2i[a], t2i[b] = t2i[b], t2i[a]
+        elif edit == "item_tokens":
+            corpus.items["i00"] = first_item + ("t3",)
+        else:
+            model.table[model.vocab.token_to_id[first_item[0]], 0] += 0.5
+        vocab_encodes.clear()
+        encode_calls.clear()
+        got = evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        n_queries, n_items = len(corpus.queries), len(corpus.items)
+        mapped = n_queries + (0 if edit == "table_row" else n_items)
+        assert len(vocab_encodes) == mapped
+        assert len(encode_calls) == n_queries + n_items
+        assert got == evaluate_without_memos(model, corpus, ks=(1, 3), n_bins=2)
+
+    def test_sweep_csv_is_the_one_without_memos(self, tmp_path):
+        # The synthetic splits share one item set, so every call after the
+        # first one reuses both memos' entries.
+        train, iid, ood = synth_generate(4, 2, 3, 4, seed=0)
+        model = init_model(build_vocab(train), dim=8, seed=0)
+        fractions = (0.0, 0.25, 0.5, 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matchlab.evaluation, "evaluate", evaluate_without_memos)
+            want = sweep_interpolation(model, iid, ood, fractions, seed=1, ks=(1, 3), n_bins=2)
+        write_sweep_csv({"m": want}, tmp_path / "want.csv")
+        for run in range(2):
+            got = sweep_interpolation(model, iid, ood, fractions, seed=1, ks=(1, 3), n_bins=2)
+            write_sweep_csv({"m": got}, tmp_path / f"got{run}.csv")
+            assert (tmp_path / f"got{run}.csv").read_bytes() == \
+                (tmp_path / "want.csv").read_bytes()
 
 
 class TestPrecisionAtK:
@@ -489,7 +589,6 @@ class TestSweep:
 
     def test_fractions_grow_the_pool(self):
         train, iid, _ = synth_generate(4, 2, 3, 4, seed=0)
-        from matchlab import build_vocab
         vocab = build_vocab(train)
         model = init_model(vocab, dim=8, seed=0)
         pool = self._pool(6)
@@ -504,7 +603,6 @@ class TestSweep:
         # The synthetic eval splits share one item set; the sweep must still
         # mix in pool queries as the fraction grows.
         train, iid, ood = synth_generate(12, 4, 42, 48, seed=0)
-        from matchlab import build_vocab
         model = init_model(build_vocab(train), dim=8, seed=0)
         out = sweep_interpolation(model, iid, ood, (0.0, 0.5, 1.0), seed=0,
                                   ks=(1,), n_bins=1)
@@ -513,7 +611,6 @@ class TestSweep:
 
     def test_empty_fractions_rejected(self):
         train, iid, _ = synth_generate(4, 2, 3, 4, seed=0)
-        from matchlab import build_vocab
         model = init_model(build_vocab(train), dim=8, seed=0)
         with pytest.raises(EvalError):
             sweep_interpolation(model, iid, self._pool(3), (), seed=0)

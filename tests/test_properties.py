@@ -3,8 +3,9 @@ one-row backwards against the per-sentence reference in ``reference.py``,
 the array Adam and the one-matrix miner against their per-row references
 there, masking bounds, the hashed intervention stream (hash, batched masks
 and dropout keep masks) against its Python-integer references with two
-distribution checks, partial AUC against a brute-force threshold sweep, and
-rankings and reports through the catalogue memo against per-item encodes."""
+distribution checks, partial AUC against a brute-force threshold sweep,
+rankings and reports through the catalogue memo against per-item encodes,
+and the top-k selection against the full stable sort."""
 
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from matchlab import (  # noqa: E402
     row_dots,
 )
 from matchlab.encoder import counter_hash, encode_batch_backward, seed_words  # noqa: E402
+from matchlab.evaluation import _top_k  # noqa: E402
 from matchlab.interventions import mask_fractions  # noqa: E402
 from matchlab.objectives import SparseGradient  # noqa: E402
 from matchlab.trainer import _SparseAdam  # noqa: E402
@@ -478,6 +480,29 @@ def test_memoized_catalogue_gives_the_per_item_results(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matchlab.evaluation, "_encode_items", encode_each_item)
             assert got == outcome(*call)
+
+
+@st.composite
+def score_matrices(draw):
+    """A score matrix of 1-5 rows and 1-12 columns whose entries often tie
+    exactly, ±0.0 and NaN included, with up to two rows all NaN, and a k
+    from 1 to the column count, often 1 or all of it."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    value = st.sampled_from([0.0, -0.0, 0.5, -0.5, float("nan")]) | finite
+    scores = np.array(draw(st.lists(st.lists(value, min_size=n_cols, max_size=n_cols),
+                                    min_size=n_rows, max_size=n_rows)))
+    scores[draw(st.lists(st.integers(0, n_rows - 1), max_size=2))] = np.nan
+    return scores, draw(st.sampled_from([1, n_cols]) | st.integers(1, n_cols))
+
+
+@PROPERTY
+@given(score_matrices())
+def test_top_k_is_the_stable_full_sort(case):
+    scores, k = case
+    want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    assert _top_k(scores, k).tolist() == want.tolist()
+    for row, row_want in zip(scores, want):  # the one-row call rank_items makes
+        assert _top_k(row, k).tolist() == row_want.tolist()
 
 
 @st.composite

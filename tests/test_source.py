@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, the
 intervention stream builds no random generator, one function holds the
-artifact float format, and the backward holds no Python loop."""
+artifact float format, the backward holds no Python loop, and scoring
+selects its top k without sorting a whole score matrix."""
 
 from __future__ import annotations
 
@@ -27,6 +28,16 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    """The one top-level function ``name`` of ``matchlab.<module>``."""
+    path = Path(matchlab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert len(defs) == 1, f"{module}.{name} not found"
+    return defs[0]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -46,13 +57,9 @@ GENERATORS = {"default_rng", "Generator", "SeedSequence"}
 @pytest.mark.parametrize("module,function",
                          [(m, f) for m, names in HASHED.items() for f in names])
 def test_intervention_stream_builds_no_generator(module, function):
-    path = Path(matchlab.__file__).parent / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    defs = [node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == function]
-    assert len(defs) == 1, f"{module}.{function} not found"
+    func = _function(module, function)
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
-              for node in ast.walk(defs[0]) if isinstance(node, ast.Call)}
+              for node in ast.walk(func) if isinstance(node, ast.Call)}
     assert not called & GENERATORS, f"{module}.{function} calls {called & GENERATORS}"
 
 
@@ -82,11 +89,25 @@ LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictCo
 @pytest.mark.parametrize("module,function",
                          [(m, f) for m, names in ARRAY_ONLY.items() for f in names])
 def test_backward_holds_no_python_loop(module, function):
-    path = Path(matchlab.__file__).parent / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    defs = [node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == function]
-    assert len(defs) == 1, f"{module}.{function} not found"
-    loops = [(type(node).__name__, node.lineno) for node in ast.walk(defs[0])
+    func = _function(module, function)
+    loops = [(type(node).__name__, node.lineno) for node in ast.walk(func)
              if isinstance(node, LOOPS)]
     assert not loops, f"{module}.{function} loops in Python: {loops}"
+
+
+# Scoring orders only the items that can reach its top k: each scorer calls
+# the one top-k helper, and nothing in it sorts its scores whole.
+SCORERS = ("evaluate", "rank_items")
+SORTS = {"argsort", "sort", "lexsort"}
+
+
+@pytest.mark.parametrize("function", SCORERS)
+def test_scoring_sorts_no_whole_score_matrix(function):
+    calls = [node for node in ast.walk(_function("evaluation", function))
+             if isinstance(node, ast.Call)]
+    called = [getattr(c.func, "attr", getattr(c.func, "id", None)) for c in calls]
+    n_top_k = called.count("_top_k")
+    assert n_top_k == 1, f"evaluation.{function} calls _top_k {n_top_k} times"
+    sorted_scores = [c.lineno for c, name in zip(calls, called) if name in SORTS
+                     and "scores" in {n.id for n in ast.walk(c) if isinstance(n, ast.Name)}]
+    assert not sorted_scores, f"evaluation.{function} sorts its scores at lines {sorted_scores}"
