@@ -172,7 +172,7 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 def cmd_split(ns: argparse.Namespace) -> int:
     corpus = load_corpus(ns.corpus)
     if ns.holdout:
-        holdout = tuple(h for h in ns.holdout.split(",") if h)
+        holdout = tuple(_comma_list(ns.holdout, str, "held-out category"))
     elif ns.holdout_k is not None:
         holdout = most_frequent_categories(corpus, ns.holdout_k)
     else:
@@ -296,7 +296,7 @@ def cmd_importance(ns: argparse.Namespace) -> int:
     theta0 = load_checkpoint(ns.base, vocab).freeze()
     source = corpus.queries if ns.source == "queries" else corpus.items
     if ns.ids:
-        wanted = [i for i in ns.ids.split(",") if i]
+        wanted = _comma_list(ns.ids, str, "id")
         missing = [i for i in wanted if i not in source]
         if missing:
             raise CliError(f"{ns.source} id {missing[0]!r} not in corpus")

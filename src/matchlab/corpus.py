@@ -12,8 +12,9 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -399,10 +400,6 @@ def _frequency_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _brand_token(b: int) -> str:
-    return f"brand{b}"
-
-
 def _descriptor_tokens(c: int, pool: int, per_sentence: int,
                        rng: np.random.Generator) -> Tokens:
     names = [f"cat{c}d{j}" for j in range(pool)]
@@ -412,16 +409,13 @@ def _descriptor_tokens(c: int, pool: int, per_sentence: int,
     return tuple(names[j] for j in picks)
 
 
-def _noise_names(n: int) -> list[str]:
-    return [f"noise{k}" for k in range(n)]
-
-
 def _filler_slices(n_brands: int) -> int:
     return max(1, n_brands // 2)
 
 
-def _brand_noise_pools(noise_pool: list[str], n_brands: int) -> list[list[str]]:
-    """Partition the filler vocabulary into slices shared by brand pairs.
+def _brand_noise_pools(noise_tokens: int, n_brands: int) -> list[list[str]]:
+    """Partition the filler vocabulary, noise0 to noise{noise_tokens - 1},
+    into slices shared by brand pairs.
 
     Filler is surface boilerplate (model-number conventions, platform
     templates) that travels with brands rather than categories. Brands b and
@@ -430,32 +424,60 @@ def _brand_noise_pools(noise_pool: list[str], n_brands: int) -> list[list[str]]:
     points at the twin brand's differently-labeled listings.
     """
     n_slices = _filler_slices(n_brands)
-    if not noise_pool:
+    if not noise_tokens:
         return [[] for _ in range(n_brands)]
-    parts = np.array_split(np.arange(len(noise_pool)), n_slices)
-    slices = [[noise_pool[i] for i in part] for part in parts]
+    parts = np.array_split(np.arange(noise_tokens), n_slices)
+    slices = [[f"noise{i}" for i in part] for part in parts]
     return [slices[b % n_slices] for b in range(n_brands)]
 
 
-def _make_text(brand: int, cat: int, desc_pool: int, desc_per_sentence: int,
-               brand_pool: list[str], noise_per_sentence: int,
-               rng: np.random.Generator) -> Tokens:
-    toks = [_brand_token(brand),
-            *_descriptor_tokens(cat, desc_pool, desc_per_sentence, rng)]
-    if noise_per_sentence > 0 and brand_pool:
+def _make_text(brand: int, cat: int, pool: list[str], descriptors: tuple[int, int],
+               noise_per_sentence: int, rng: np.random.Generator) -> Tokens:
+    toks = [f"brand{brand}", *_descriptor_tokens(cat, *descriptors, rng)]
+    if noise_per_sentence > 0 and pool:
         # Small slices recycle tokens rather than shortening the sentence.
-        replace = len(brand_pool) < noise_per_sentence
-        picks = rng.choice(len(brand_pool), size=noise_per_sentence,
-                           replace=replace)
-        toks.extend(brand_pool[i] for i in picks)
+        replace = len(pool) < noise_per_sentence
+        picks = rng.choice(len(pool), size=noise_per_sentence, replace=replace)
+        toks.extend(pool[i] for i in picks)
     return tuple(toks)
 
 
+def _sentences(prefix: str, rows: Iterable[tuple[object, int, int]],
+               pools: list[list[str]], descriptors: tuple[int, int],
+               noise_per_sentence: int, rng: np.random.Generator
+               ) -> tuple[dict[str, Tokens], dict[str, int]]:
+    """The text and category of each row of (id suffix, brand, category),
+    keyed ``prefix-suffix``. Rows are read one at a time, so a row that
+    draws its brand or category from rng draws it just before its text."""
+    texts: dict[str, Tokens] = {}
+    cats: dict[str, int] = {}
+    for suffix, brand, cat in rows:
+        rid = f"{prefix}-{suffix}"
+        texts[rid] = _make_text(brand, cat, pools[brand], descriptors,
+                                noise_per_sentence, rng)
+        cats[rid] = cat
+    return texts, cats
+
+
+def _labeled(queries: tuple[dict[str, Tokens], dict[str, int]],
+             items: tuple[dict[str, Tokens], dict[str, int]]) -> Corpus:
+    """A corpus of written queries and items, each labeled ``cat{c}``, with
+    relevance 1 for every query and item that share a category."""
+    (qtexts, qcat), (itexts, icat) = queries, items
+    by_cat: dict[int, list[str]] = {}
+    for iid in sorted(icat):
+        by_cat.setdefault(icat[iid], []).append(iid)
+    pairs = [Pair(qid, iid, 1.0) for qid in sorted(qcat) for iid in by_cat.get(qcat[qid], [])]
+    return Corpus(qtexts, dict(itexts), pairs, {q: f"cat{c}" for q, c in qcat.items()},
+                  {i: f"cat{c}" for i, c in icat.items()})
+
+
 def _check_synth(n_brands: int, n_categories: int, noise_tokens: int,
-                 descriptors_per_category: int,
-                 descriptors_per_sentence: int | None) -> int:
-    """The checks both generators make; returns descriptors_per_sentence with
-    its default (all of the category's descriptors) filled in."""
+                 descriptors_per_category: int, descriptors_per_sentence: int | None,
+                 noise_per_sentence: int, **counts: int) -> int:
+    """The checks both generators make, each count in counts at least 1;
+    returns descriptors_per_sentence with its default (all of the
+    category's descriptors) filled in."""
     if n_categories < 2 or n_brands < n_categories:
         raise CorpusError(
             f"need n_brands >= n_categories >= 2, got {n_brands}, {n_categories}"
@@ -474,19 +496,12 @@ def _check_synth(n_brands: int, n_categories: int, noise_tokens: int,
         raise CorpusError(
             "descriptors_per_sentence must be in [1, descriptors_per_category]"
         )
+    if noise_per_sentence < 0:
+        raise CorpusError(f"noise_per_sentence must be >= 0, got {noise_per_sentence}")
+    for name, count in counts.items():
+        if count < 1:
+            raise CorpusError(f"{name} must be >= 1, got {count}")
     return descriptors_per_sentence
-
-
-def _same_category_pairs(queries_cat: Mapping[str, int],
-                         items_cat: Mapping[str, int]) -> list[Pair]:
-    by_cat: dict[int, list[str]] = {}
-    for iid in sorted(items_cat):
-        by_cat.setdefault(items_cat[iid], []).append(iid)
-    pairs = []
-    for qid in sorted(queries_cat):
-        for iid in by_cat.get(queries_cat[qid], []):
-            pairs.append(Pair(qid, iid, 1.0))
-    return pairs
 
 
 def synth_generate(
@@ -516,55 +531,33 @@ def synth_generate(
     surface sit in the wrong category: a model leaning on brand identity
     retrieves exactly those.
     """
-    descriptors_per_sentence = _check_synth(n_brands, n_categories, noise_tokens,
-                                            descriptors_per_category,
-                                            descriptors_per_sentence)
-    if queries_per_brand < 1:
-        raise CorpusError("queries_per_brand must be >= 1")
     if items_per_brand is None:
         items_per_brand = max(1, round(queries_per_brand / 5))
     if eval_queries_per_brand is None:
         eval_queries_per_brand = max(1, queries_per_brand // 5)
+    descriptors_per_sentence = _check_synth(
+        n_brands, n_categories, noise_tokens, descriptors_per_category,
+        descriptors_per_sentence, noise_per_sentence, queries_per_brand=queries_per_brand,
+        items_per_brand=items_per_brand, eval_queries_per_brand=eval_queries_per_brand)
 
     rng = np.random.default_rng(seed)
-    brand_pools = _brand_noise_pools(_noise_names(noise_tokens), n_brands)
-    train_cat = {b: b % n_categories for b in range(n_brands)}
+    train_cat = [b % n_categories for b in range(n_brands)]
     # Seeded re-draw: every brand moves to a different category.
-    ood_cat = {}
+    ood_cat = []
     for b in range(n_brands):
         others = [c for c in range(n_categories) if c != train_cat[b]]
-        ood_cat[b] = others[int(rng.integers(len(others)))]
-
-    def gen_block(prefix: str, per_brand: int, cat_of: Mapping[int, int]):
-        texts: dict[str, Tokens] = {}
-        cats: dict[str, int] = {}
-        for b in range(n_brands):
-            for j in range(per_brand):
-                rid = f"{prefix}-{b}-{j}"
-                texts[rid] = _make_text(b, cat_of[b], descriptors_per_category,
-                                        descriptors_per_sentence,
-                                        brand_pools[b], noise_per_sentence, rng)
-                cats[rid] = cat_of[b]
-        return texts, cats
-
-    train_q, train_qcat = gen_block("qry", queries_per_brand, train_cat)
-    shared_items, shared_icat = gen_block("itm", items_per_brand, train_cat)
-    iid_q, iid_qcat = gen_block("iidq", eval_queries_per_brand, train_cat)
-    ood_q, ood_qcat = gen_block("oodq", eval_queries_per_brand, ood_cat)
-
-    def label(cats: Mapping[str, int]) -> dict[str, str]:
-        return {rid: f"cat{c}" for rid, c in cats.items()}
-
-    train = Corpus(train_q, dict(shared_items),
-                   _same_category_pairs(train_qcat, shared_icat),
-                   label(train_qcat), label(shared_icat))
-    iid_eval = Corpus(iid_q, dict(shared_items),
-                      _same_category_pairs(iid_qcat, shared_icat),
-                      label(iid_qcat), label(shared_icat))
-    ood_eval = Corpus(ood_q, dict(shared_items),
-                      _same_category_pairs(ood_qcat, shared_icat),
-                      label(ood_qcat), label(shared_icat))
-    return train, iid_eval, ood_eval
+        ood_cat.append(others[int(rng.integers(len(others)))])
+    write = partial(_sentences, pools=_brand_noise_pools(noise_tokens, n_brands),
+                    descriptors=(descriptors_per_category, descriptors_per_sentence),
+                    noise_per_sentence=noise_per_sentence, rng=rng)
+    train_q, items, iid_q, ood_q = (
+        write(prefix, [(f"{b}-{j}", b, cat_of[b])
+                       for b in range(n_brands) for j in range(per_brand)])
+        for prefix, per_brand, cat_of in (("qry", queries_per_brand, train_cat),
+                                          ("itm", items_per_brand, train_cat),
+                                          ("iidq", eval_queries_per_brand, train_cat),
+                                          ("oodq", eval_queries_per_brand, ood_cat)))
+    return _labeled(train_q, items), _labeled(iid_q, items), _labeled(ood_q, items)
 
 
 def synth_pretrain(
@@ -587,36 +580,17 @@ def synth_pretrain(
     """
     descriptors_per_sentence = _check_synth(n_brands, n_categories, noise_tokens,
                                             descriptors_per_category,
-                                            descriptors_per_sentence)
+                                            descriptors_per_sentence, noise_per_sentence)
     if n_queries < n_brands:
         raise CorpusError("need n_queries >= n_brands to cover every brand")
-    n_items = max(n_categories, n_queries // 5)
 
     rng = np.random.default_rng(seed)
-    brand_pools = _brand_noise_pools(_noise_names(noise_tokens), n_brands)
-    queries: dict[str, Tokens] = {}
-    qcat: dict[str, int] = {}
-    for n in range(n_queries):
-        brand = n % n_brands
-        cat = int(rng.integers(n_categories))
-        queries[f"preq-{n}"] = _make_text(brand, cat, descriptors_per_category,
-                                          descriptors_per_sentence,
-                                          brand_pools[brand],
-                                          noise_per_sentence, rng)
-        qcat[f"preq-{n}"] = cat
-    items: dict[str, Tokens] = {}
-    icat: dict[str, int] = {}
-    for m in range(n_items):
-        cat = m % n_categories
-        brand = int(rng.integers(n_brands))
-        items[f"preitm-{m}"] = _make_text(brand, cat, descriptors_per_category,
-                                          descriptors_per_sentence,
-                                          brand_pools[brand],
-                                          noise_per_sentence, rng)
-        icat[f"preitm-{m}"] = cat
-
-    return Corpus(
-        queries, items, _same_category_pairs(qcat, icat),
-        {q: f"cat{c}" for q, c in qcat.items()},
-        {i: f"cat{c}" for i, c in icat.items()},
-    )
+    write = partial(_sentences, pools=_brand_noise_pools(noise_tokens, n_brands),
+                    descriptors=(descriptors_per_category, descriptors_per_sentence),
+                    noise_per_sentence=noise_per_sentence, rng=rng)
+    # Generators, so each row's drawn attribute comes just before its text.
+    queries = write("preq", ((n, n % n_brands, int(rng.integers(n_categories)))
+                             for n in range(n_queries)))
+    items = write("preitm", ((m, int(rng.integers(n_brands)), m % n_categories)
+                             for m in range(max(n_categories, n_queries // 5))))
+    return _labeled(queries, items)

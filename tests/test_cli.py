@@ -170,6 +170,18 @@ class TestPipeline:
         ])
         assert "ghost" in err["error"]
 
+    def test_importance_empty_id_list_fails(self, pipeline, tmp_path):
+        # Once exited 0 with nothing scored and an empty summary.tsv.
+        root, _ = pipeline
+        err = run_fail([
+            "importance", "--corpus", str(root / "data" / "iid_eval.jsonl"),
+            "--checkpoint", str(root / "itv.ckpt"), "--base", str(root / "base.ckpt"),
+            "--vocab", str(root / "vocab.tsv"), "--ids", ",",
+            "--out-dir", str(tmp_path / "imp"),
+        ])
+        assert err == {"error": "empty id list"}
+        assert not (tmp_path / "imp").exists()
+
 
 class TestErrorContract:
     def test_missing_file_is_json_on_stderr(self, tmp_path):
@@ -194,6 +206,29 @@ class TestErrorContract:
             "--out-dir", str(tmp_path / "s"),
         ])
         assert "holdout" in err["error"]
+
+    @pytest.mark.parametrize("flag,value,error", [
+        ("--items-per-brand", "0", "items_per_brand must be >= 1, got 0"),
+        ("--eval-queries-per-brand", "-1", "eval_queries_per_brand must be >= 1, got -1"),
+        ("--noise-per-sentence", "-2", "noise_per_sentence must be >= 0, got -2"),
+    ], ids=["items", "eval-queries", "filler"])
+    def test_synth_count_out_of_range_fails(self, tmp_path, flag, value, error):
+        # Each once exited 0: with no items, with empty eval splits, or
+        # reading -2 filler tokens per sentence as 0.
+        err = run_fail(["synth", "--out-dir", str(tmp_path / "d"), "--brands", "4",
+                        "--categories", "2", "--queries-per-brand", "4",
+                        "--noise-tokens", "6", f"{flag}={value}"])
+        assert err == {"error": error}
+        assert not (tmp_path / "d").exists()
+
+    def test_split_empty_holdout_list_fails(self, pipeline, tmp_path):
+        root, _ = pipeline
+        err = run_fail([
+            "split", "--corpus", str(root / "data" / "train.jsonl"),
+            "--out-dir", str(tmp_path / "s"), "--holdout", ",",
+        ])
+        assert err == {"error": "empty held-out category list"}
+        assert not (tmp_path / "s").exists()
 
     def test_split_holdout_k_zero_names_the_infeasible_k(self, pipeline, tmp_path):
         # --holdout-k 0 was given, so the error is about k, not a missing flag

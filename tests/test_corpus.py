@@ -3,6 +3,7 @@ the synthetic benchmark generators."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -421,3 +422,50 @@ class TestSynthPretrain:
         with pytest.raises(CorpusError) as pre:
             synth_pretrain(brands, categories, 30, noise, seed=0, **kwargs)
         assert str(pre.value) == str(bench.value)
+
+
+@pytest.mark.parametrize("count", [
+    {"items_per_brand": 0},
+    {"items_per_brand": -1},
+    {"eval_queries_per_brand": 0},
+    {"eval_queries_per_brand": -1},
+    {"noise_per_sentence": -2},
+], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+def test_generators_reject_a_count_out_of_range(count):
+    # A count of items or eval queries below 1 leaves a split with nothing
+    # to score; a negative filler count would read as 0.
+    with pytest.raises(CorpusError, match=next(iter(count))):
+        synth_generate(6, 3, 4, 12, seed=0, **count)
+    if "noise_per_sentence" in count:
+        with pytest.raises(CorpusError, match="noise_per_sentence"):
+            synth_pretrain(6, 3, 30, 12, seed=0, **count)
+
+
+def _written_digest(corpora, tmp_path) -> str:
+    digest = hashlib.sha256()
+    for n, corpus in enumerate(corpora):
+        write_corpus(corpus, tmp_path / f"{n}.jsonl")
+        digest.update((tmp_path / f"{n}.jsonl").read_bytes())
+    return digest.hexdigest()[:16]
+
+
+# The exact bytes the generators write: any refactor of them must keep every
+# draw in its place.
+@pytest.mark.parametrize("case,seed,expected", [
+    ("no-filler", 0, "8f66bf08fc68b167"),
+    ("no-filler", 5, "cba545aafd3909f4"),
+    ("all-descriptors", 0, "62d0f9ee0c4383c3"),
+    ("all-descriptors", 5, "81ae657d84bd7a23"),
+    ("pretrain", 0, "a086667ca0d867ff"),
+    ("pretrain", 5, "3417eb2cf3402401"),
+])
+def test_generators_write_pinned_bytes(case, seed, expected, tmp_path):
+    if case == "no-filler":
+        corpora = synth_generate(4, 2, 3, 0, seed=seed, descriptors_per_category=4,
+                                 descriptors_per_sentence=2)
+    elif case == "all-descriptors":
+        corpora = synth_generate(6, 3, 4, 12, seed=seed, noise_per_sentence=3)
+    else:
+        corpora = [synth_pretrain(6, 3, 30, 12, seed=seed, descriptors_per_category=4,
+                                  descriptors_per_sentence=2)]
+    assert _written_digest(corpora, tmp_path) == expected

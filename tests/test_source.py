@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, the
 intervention stream builds no random generator, one function holds the
-artifact float format, the backward holds no Python loop, and scoring
-selects its top k without sorting a whole score matrix."""
+artifact float format, the backward holds no Python loop, scoring
+selects its top k without sorting a whole score matrix, one writer makes
+every synthetic sentence and one parser reads every comma-list flag."""
 
 from __future__ import annotations
 
@@ -111,3 +112,33 @@ def test_scoring_sorts_no_whole_score_matrix(function):
     sorted_scores = [c.lineno for c, name in zip(calls, called) if name in SORTS
                      and "scores" in {n.id for n in ast.walk(c) if isinstance(n, ast.Name)}]
     assert not sorted_scores, f"evaluation.{function} sorts its scores at lines {sorted_scores}"
+
+
+def _calls(module: str) -> list[tuple[str | None, ast.Call]]:
+    """Each call in ``matchlab.<module>`` with its innermost enclosing function."""
+    path = Path(matchlab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            inner = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            innermost = min(inner, key=lambda f: f.end_lineno - f.lineno, default=None)
+            calls.append((innermost and innermost.name, node))
+    return calls
+
+
+def test_one_writer_makes_every_synthetic_sentence():
+    # Both generators write through the one sentence writer, so their
+    # sentences cannot drift apart in form or in draw order.
+    callers = [name for name, call in _calls("corpus")
+               if getattr(call.func, "id", None) == "_make_text"]
+    assert callers == ["_sentences"], callers
+
+
+def test_one_parser_reads_every_comma_list_flag():
+    # A comma-list flag read any other way can skip the empty-list check.
+    splitters = {name for name, call in _calls("cli")
+                 if getattr(call.func, "attr", None) == "split"
+                 and [getattr(a, "value", None) for a in call.args] == [","]}
+    assert splitters == {"_comma_list"}, splitters
