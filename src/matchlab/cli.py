@@ -76,6 +76,17 @@ def _comma_list(text: str, kind: type, what: str) -> list:
     return vals
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _config_flags(path: str, actions: dict[str, argparse.Action]) -> list[str]:
     """A flat JSON config read as the flags it stands for, in `--flag=value`
     form so that a value such as "-x" stays a value. A list for a repeatable
@@ -323,7 +334,7 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
                    help="training epochs (default: 200 contrastive, 5 mse)")
     p.add_argument("--batch-size", type=int, default=32, help="examples per batch")
     p.add_argument("--lr", type=float, default=1e-4, help="Adam learning rate")
-    p.add_argument("--seed", type=int, default=0, help="run seed")
+    p.add_argument("--seed", type=_seed, default=0, help="run seed")
     p.add_argument("--negatives", choices=NEGATIVE_STRATEGIES,
                    default="in-batch-hardest", help="negative mining strategy")
 
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="descriptors drawn per sentence (default: all of them)")
     p.add_argument("--noise-per-sentence", type=int, default=2,
                    help="filler tokens drawn per sentence")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_seed, default=0, help="generator seed")
     p.set_defaults(func=cmd_synth)
 
     p = add("split", "category-holdout split of a JSONL corpus")
@@ -372,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hold out the k most frequent categories instead")
     p.add_argument("--train-fraction", type=float, default=0.9,
                    help="train share of the non-held-out queries")
-    p.add_argument("--seed", type=int, default=0, help="shuffle seed")
+    p.add_argument("--seed", type=_seed, default=0, help="shuffle seed")
     p.set_defaults(func=cmd_split)
 
     p = add("pretrain-base", "manufacture a frozen base model from a broad corpus")
@@ -425,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated pool fractions")
     p.add_argument("--ks", default="1,3,5", help="comma-separated precision cutoffs")
     p.add_argument("--bins", type=int, default=5, help="item-frequency quantile bins")
-    p.add_argument("--seed", type=int, default=0, help="pool sampling seed")
+    p.add_argument("--seed", type=_seed, default=0, help="pool sampling seed")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -48,9 +48,35 @@ def tokenize(text: str) -> Tokens:
     return tuple(out)
 
 
+class PairIndex(NamedTuple):
+    """A corpus's pairs as arrays. Rows are the queries in id order and
+    columns the items in id order; the per-pair arrays keep pair order and
+    repeated pairs."""
+
+    query_ids: list[str]
+    item_ids: list[str]
+    rows: np.ndarray  # int32: each pair's query row
+    cols: np.ndarray  # int32: each pair's item column
+    positive: np.ndarray  # bool: relevance == 1.0
+    negative: np.ndarray  # bool: relevance == 0.0
+
+    def item_counts(self) -> np.ndarray:
+        """Number of pairs each item appears in, by column."""
+        return np.bincount(self.cols, minlength=len(self.item_ids))
+
+
 @dataclass
 class Corpus:
-    """Immutable-by-convention container; do not mutate after construction."""
+    """Queries, candidate items and labeled pairs; immutable by convention.
+
+    ``pair_index()`` turns the pairs into arrays at its first call and keeps
+    them in the instance ``__dict__``, outside the dataclass fields, so
+    ``==``, ``repr`` and ``dataclasses.fields`` ignore them. An in-place edit
+    never reads a stale index: each call compares the query ids, item ids
+    and pairs (in order) with those the index was built from, and rebuilds
+    it when any of them differ. Editing a query's or an item's tokens
+    leaves the index as it is, since it holds no tokens.
+    """
 
     queries: dict[str, Tokens]
     items: dict[str, Tokens]
@@ -85,11 +111,38 @@ class Corpus:
         return rel
 
     def item_pair_counts(self) -> dict[str, int]:
-        """Number of labeled pairs each item appears in (0 if none)."""
-        counts = dict.fromkeys(self.items, 0)
-        for p in self.pairs:
-            counts[p.item_id] += 1
-        return counts
+        """Number of labeled pairs each item appears in (0 if none), keyed in
+        ``items`` order."""
+        index = self.pair_index()
+        counts = dict(zip(index.item_ids, index.item_counts().tolist()))
+        return {iid: counts[iid] for iid in self.items}
+
+    def pair_index(self) -> PairIndex:
+        """The pairs as arrays, built once and rebuilt after an edit of the
+        query ids, the item ids or the pairs (see the class docstring)."""
+        # The index keeps shallow copies of the ids and pairs it was built
+        # from: while nothing changed, comparing them is one identity check
+        # per entry.
+        source = (list(self.queries), list(self.items), self.pairs)
+        cached = self.__dict__.get("_pair_index")
+        if cached is not None and cached[0] == source:
+            return cached[1]
+        query_ids, item_ids = sorted(self.queries), sorted(self.items)
+        row = {qid: i for i, qid in enumerate(query_ids)}
+        col = {iid: j for j, iid in enumerate(item_ids)}
+        # zip(*pairs) allocates an iterator per pair. Reading each field with
+        # map(itemgetter(i), pairs) builds faster, but moves the full garbage
+        # collections those allocations set off into the code that runs
+        # next, and the benchmark's set-ups slowed.
+        p_qids, p_iids, p_rels = zip(*self.pairs) if self.pairs else ((), (), ())
+        rel = np.array(p_rels, dtype=np.float64)
+        index = PairIndex(
+            query_ids, item_ids,
+            np.fromiter(map(row.__getitem__, p_qids), np.int32, len(p_qids)),
+            np.fromiter(map(col.__getitem__, p_iids), np.int32, len(p_iids)),
+            rel == 1.0, rel == 0.0)
+        self.__dict__["_pair_index"] = ((*source[:2], list(self.pairs)), index)
+        return index
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -378,10 +431,8 @@ def item_frequency_quantiles(corpus: Corpus, n_bins: int = 5) -> dict[str, int]:
         raise CorpusError(f"n_bins must be >= 1, got {n_bins}")
     if n_bins > n_items:
         raise CorpusError(f"n_bins={n_bins} exceeds item count {n_items}")
-    ids = sorted(corpus.items)
-    counts = corpus.item_pair_counts()
-    bins = _frequency_bins(np.array([counts[i] for i in ids]), n_bins)
-    return dict(zip(ids, bins.tolist()))
+    index = corpus.pair_index()
+    return dict(zip(index.item_ids, _frequency_bins(index.item_counts(), n_bins).tolist()))
 
 
 def _frequency_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:

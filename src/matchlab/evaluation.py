@@ -5,6 +5,7 @@ interpolation sweeps between in-distribution and shifted candidate pools.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
@@ -273,6 +274,8 @@ def evaluate(
     ``vocab.token_to_id`` equal the copies the last call took
     (``_item_ids``), and their encoding while those ids and the table rows
     they read are unchanged (``_encode_items``, shared with ``rank_items``).
+    The pairs are read as arrays from ``corpus.pair_index()``, built at the
+    corpus's first call and rebuilt only after an edit of its ids or pairs.
     P@k reads each query's top max-feasible-k items from ``_top_k``, which
     orders only the items scoring at least the k-th best.
     """
@@ -294,7 +297,8 @@ def evaluate(
     if not item_ids:
         raise EvalError("no candidate item could be encoded")
 
-    qids = sorted(corpus.queries)
+    index = corpus.pair_index()
+    qids = index.query_ids
     q_sents = [vocab.encode(corpus.queries[qid]) for qid in qids]
     q = encode_batch(theta, q_sents)
     if not q.ok.all():
@@ -305,17 +309,10 @@ def evaluate(
         raise EvalError(f"n_bins={n_bins} exceeds item count {len(corpus.items)}")
 
     # Queries in id order are the rows, all items in id order the columns.
-    all_ids = sorted(corpus.items)
-    col = {iid: j for j, iid in enumerate(all_ids)}
-    row = {qid: i for i, qid in enumerate(qids)}
-    p_qids, p_iids, p_rels = zip(*corpus.pairs) if corpus.pairs else ((), (), ())
-    p_row = np.fromiter(map(row.__getitem__, p_qids), np.intp, len(p_qids))
-    p_col = np.fromiter(map(col.__getitem__, p_iids), np.intp, len(p_iids))
-    p_rel = np.array(p_rels, dtype=np.float64)
-    truth = p_rel == 1.0
+    all_ids, p_row, p_col, truth = index.item_ids, index.rows, index.cols, index.positive
     relevant = np.zeros((len(qids), len(all_ids)), dtype=bool)
     relevant[p_row[truth], p_col[truth]] = True
-    counts = np.bincount(p_col, minlength=len(all_ids))
+    counts = index.item_counts()
     # A query's anchor is its first relevant item by descending count, ties
     # toward the smaller id; its bin is the anchor's.
     by_count = np.argsort(-counts, kind="stable")
@@ -324,7 +321,7 @@ def evaluate(
                      _frequency_bins(counts, n_bins)[anchor], NO_TRUTH_BIN).tolist()
 
     ok = np.ones(len(all_ids), dtype=bool)
-    ok[[col[iid] for iid in excluded]] = False
+    ok[[bisect_left(all_ids, iid) for iid in excluded]] = False
     scores = row_dots(item_matrix, q.embeddings[:, None])
     feasible = [k for k in ks if k <= len(item_ids)]
     # ids ascend, so ties go by id; top-1 exists whatever ks holds
@@ -350,7 +347,7 @@ def evaluate(
     quantile_p1 = {b: bin_sum[b] / bin_mass[b] for b in bin_mass}
 
     auc = None
-    labeled = (truth | (p_rel == 0.0)) & ok[p_col]
+    labeled = (truth | index.negative) & ok[p_col]
     labels = truth[labeled].astype(np.int64)
     if 0 < labels.sum() < len(labels):
         item_row = np.cumsum(ok) - 1  # an encodable item's row of item_matrix

@@ -199,6 +199,37 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert json.loads(err.strip())["error"]
 
+    @pytest.mark.parametrize("command", ["synth", "split", "pretrain-base", "train", "sweep"])
+    def test_negative_seed_names_the_flag(self, pipeline, tmp_path, capsys, command):
+        # numpy rejected it later, as "expected non-negative integer"
+        root, _ = pipeline
+        data, out = root / "data", str(tmp_path / "out")
+        flags = {
+            "synth": ["--out-dir", out],
+            "split": ["--corpus", str(data / "train.jsonl"), "--out-dir", out,
+                      "--holdout", "cat0"],
+            "pretrain-base": ["--corpus", str(data / "train.jsonl"), "--out", out,
+                              "--vocab-out", str(tmp_path / "vocab.tsv")],
+            "train": ["--corpus", str(data / "train.jsonl"), "--base", str(root / "base.ckpt"),
+                      "--vocab", str(root / "vocab.tsv"), "--out", out],
+            "sweep": ["--iid", str(data / "iid_eval.jsonl"), "--pool", str(data / "ood_eval.jsonl"),
+                      "--vocab", str(root / "vocab.tsv"), "--model", f"m={root / 'base.ckpt'}",
+                      "--out", out],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [json.dumps(
+            {"error": "argument --seed: must be a non-negative integer, got '-1'"})]
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_seed_in_a_config_names_the_flag(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": -2}))
+        err = run_fail(["synth", "--config", str(config), "--out-dir", str(tmp_path / "d")])
+        assert err == {"error": "argument --seed: must be a non-negative integer, got '-2'"}
+        assert not (tmp_path / "d").exists()
+
     def test_split_needs_a_holdout_choice(self, pipeline, tmp_path):
         root, _ = pipeline
         err = run_fail([

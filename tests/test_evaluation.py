@@ -328,6 +328,70 @@ class TestTokenMemo:
                 (tmp_path / "want.csv").read_bytes()
 
 
+def _fresh(corpus: Corpus) -> Corpus:
+    """An equal corpus that has built no pair index."""
+    return Corpus(dict(corpus.queries), dict(corpus.items), list(corpus.pairs))
+
+
+def _listed(index) -> list:
+    return [field.tolist() if isinstance(field, np.ndarray) else field for field in index]
+
+
+def _remove_query(corpus: Corpus) -> None:
+    del corpus.queries["q00"]
+    corpus.pairs[:] = [p for p in corpus.pairs if p.query_id != "q00"]
+
+
+def _remove_item(corpus: Corpus) -> None:
+    del corpus.items["i05"]
+    corpus.pairs[:] = [p for p in corpus.pairs if p.item_id != "i05"]
+
+
+def _rename_item(corpus: Corpus) -> None:
+    # one item out and one in: the item, query and pair counts stay
+    corpus.items["i99"] = corpus.items.pop("i00")
+    corpus.pairs[:] = [p._replace(item_id="i99") if p.item_id == "i00" else p
+                       for p in corpus.pairs]
+
+
+class TestPairIndex:
+    """evaluate reads the pairs from the corpus's pair index, built at its
+    first call and rebuilt after any edit of the ids or the pairs."""
+
+    EDITS = {
+        "append-pair": lambda c: c.pairs.append(Pair("q00", "i05", 1.0)),
+        "remove-pair": lambda c: c.pairs.pop(0),
+        "replace-pair": lambda c: c.pairs.__setitem__(0, Pair("q11", "i05", 1.0)),
+        "add-query": lambda c: c.queries.update(q99=("t1", "t2")),
+        "remove-query": _remove_query,
+        "add-item": lambda c: c.items.update(i99=("t3",)),
+        "remove-item": _remove_item,
+        "rename-item": _rename_item,
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_in_place_edit_rebuilds_the_index(self, edit):
+        corpus, model = _eval_corpus_and_model(seed=12)
+        evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        before = _listed(corpus.pair_index())
+        self.EDITS[edit](corpus)
+        got = evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        fresh = _fresh(corpus)
+        assert got == evaluate(model, fresh, ks=(1, 3), n_bins=2)
+        assert _listed(corpus.pair_index()) == _listed(fresh.pair_index()) != before
+        assert list(corpus.item_pair_counts().items()) == \
+            list(fresh.item_pair_counts().items())
+
+    def test_token_edit_keeps_the_index(self):
+        corpus, model = _eval_corpus_and_model(seed=12)
+        evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        index = corpus.pair_index()
+        corpus.items["i00"] += ("t3",)
+        assert evaluate(model, corpus, ks=(1, 3), n_bins=2) == \
+            evaluate(model, _fresh(corpus), ks=(1, 3), n_bins=2)
+        assert corpus.pair_index() is index
+
+
 class TestPrecisionAtK:
     def test_hand_values(self):
         model = _ranking_model()

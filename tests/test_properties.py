@@ -5,10 +5,12 @@ there, masking bounds, the hashed intervention stream (hash, batched masks
 and dropout keep masks) against its Python-integer references with two
 distribution checks, partial AUC against a brute-force threshold sweep,
 rankings and reports through the catalogue memo against per-item encodes,
-and the top-k selection against the full stable sort."""
+the top-k selection against the full stable sort, and reports through a
+built or a reused pair index against the per-query evaluate."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from itertools import chain
@@ -542,3 +544,32 @@ def test_array_evaluate_is_the_per_query_evaluate(case):
     # The oracle counts a repeated k again; evaluate reports it once.
     assert outcome(evaluate, model, corpus, ks, n_bins) == \
         outcome(reference.evaluate, model, corpus, list(dict.fromkeys(ks)), n_bins)
+
+
+CORPUS_FIELDS = ("queries", "items", "pairs", "query_categories", "item_categories")
+
+
+@PROPERTY
+@given(eval_cases())
+def test_pair_index_built_or_reused_gives_the_per_query_evaluate(case):
+    model, corpus, ks, n_bins = case
+    ks = list(dict.fromkeys(ks))
+
+    def twin() -> Corpus:
+        return Corpus(dict(corpus.queries), dict(corpus.items), list(corpus.pairs))
+
+    unevaluated = twin()
+    want = outcome(reference.evaluate, model, twin(), ks, n_bins)
+    # the first call builds the index, the second reuses it, and an equal
+    # fresh corpus builds its own
+    for target in (corpus, corpus, twin()):
+        assert outcome(evaluate, model, target, ks, n_bins) == want
+    # the counts keep the items' order, here also against the id order
+    backwards = Corpus(corpus.queries, dict(reversed(corpus.items.items())), corpus.pairs)
+    for target in (corpus, backwards):
+        walk = dict.fromkeys(target.items, 0)
+        for p in target.pairs:
+            walk[p.item_id] += 1
+        assert list(target.item_pair_counts().items()) == list(walk.items())
+    assert tuple(f.name for f in dataclasses.fields(Corpus)) == CORPUS_FIELDS
+    assert corpus == unevaluated and repr(corpus) == repr(unevaluated)

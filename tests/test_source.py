@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, the
 intervention stream builds no random generator, one function holds the
 artifact float format, the backward holds no Python loop, scoring
-selects its top k without sorting a whole score matrix, one writer makes
+selects its top k without sorting a whole score matrix, the pair index is
+the one pass from a corpus's pairs to arrays, one writer makes
 every synthetic sentence and one parser reads every comma-list flag."""
 
 from __future__ import annotations
@@ -112,6 +113,29 @@ def test_scoring_sorts_no_whole_score_matrix(function):
     sorted_scores = [c.lineno for c, name in zip(calls, called) if name in SORTS
                      and "scores" in {n.id for n in ast.walk(c) if isinstance(n, ast.Name)}]
     assert not sorted_scores, f"evaluation.{function} sorts its scores at lines {sorted_scores}"
+
+
+# The pairs become arrays once per corpus, in its pair index: evaluate reads
+# the index, and no other function turns pairs into arrays.
+ARRAY_BUILDERS = {"array", "asarray", "fromiter"}
+
+
+def test_the_pair_index_is_the_one_pass_from_pairs_to_arrays():
+    reads = [node.lineno for node in ast.walk(_function("evaluation", "evaluate"))
+             if isinstance(node, ast.Attribute) and node.attr == "pairs"]
+    assert not reads, f"evaluation.evaluate reads .pairs at lines {reads}"
+    passes = set()
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(func))
+            if (any(isinstance(n, ast.Attribute) and n.attr == "pairs" for n in nodes)
+                    and any(isinstance(n, ast.Call)
+                            and getattr(n.func, "attr", None) in ARRAY_BUILDERS
+                            for n in nodes)):
+                passes.add(f"{path.stem}.{func.name}")
+    assert passes == {"corpus.pair_index"}, passes
 
 
 def _calls(module: str) -> list[tuple[str | None, ast.Call]]:
