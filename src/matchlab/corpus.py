@@ -59,6 +59,10 @@ class PairIndex(NamedTuple):
     cols: np.ndarray  # int32: each pair's item column
     positive: np.ndarray  # bool: relevance == 1.0
     negative: np.ndarray  # bool: relevance == 0.0
+    # float64: each pair's relevance; None when each is 1.0 or (+)0.0, as
+    # the masks then say, which keeps a binary corpus's index 8 B a pair
+    # smaller
+    relevance: np.ndarray | None
 
     def item_counts(self) -> np.ndarray:
         """Number of pairs each item appears in, by column."""
@@ -136,11 +140,13 @@ class Corpus:
         # next, and the benchmark's set-ups slowed.
         p_qids, p_iids, p_rels = zip(*self.pairs) if self.pairs else ((), (), ())
         rel = np.array(p_rels, dtype=np.float64)
+        positive, negative = rel == 1.0, rel == 0.0
+        binary = (positive | negative).all() and not np.signbit(rel).any()
         index = PairIndex(
             query_ids, item_ids,
             np.fromiter(map(row.__getitem__, p_qids), np.int32, len(p_qids)),
             np.fromiter(map(col.__getitem__, p_iids), np.int32, len(p_iids)),
-            rel == 1.0, rel == 0.0)
+            positive, negative, None if binary else rel)
         self.__dict__["_pair_index"] = ((*source[:2], list(self.pairs)), index)
         return index
 

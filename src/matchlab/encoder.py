@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +18,9 @@ import numpy as np
 from .corpus import Sentence, Vocab
 
 NORM_EPS = 1e-9
+# Padding of a sentence-order id row before it is sorted: it sorts after
+# every id, so each row's ids come first, ascending.
+_PAD = np.iinfo(np.intp).max
 
 # splitmix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
 # finalizer's two multipliers.
@@ -204,6 +208,73 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], np.asarray(b)[..., None])[..., 0, 0]
 
 
+class SentenceTable(Sequence):
+    """Sentences as a padded id matrix, the form ``encode_batch`` reads
+    without building one. Row i holds sentence i's ids ascending, the order
+    ``encode`` sums in, in its first ``lengths[i]`` slots, with 0 after
+    them; ``positions[i, j]`` is the position in the sentence of the token
+    in slot j, and a padding slot's position is j, so each row's positions
+    are a permutation of the columns. A mask or a dropout view hashes those
+    positions, as it hashes the sentence's. Item i is sentence i as a tuple
+    in sentence order."""
+
+    __slots__ = ("ids", "lengths", "positions")
+
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray, positions: np.ndarray) -> None:
+        self.ids, self.lengths, self.positions = ids, lengths, positions
+
+    @classmethod
+    def of(cls, sentences: Sequence[Sequence[int]]) -> "SentenceTable":
+        n = len(sentences)
+        lengths = np.fromiter(map(len, sentences), np.intp, n)
+        width = int(lengths.max(initial=0))
+        real = np.arange(width) < lengths[:, None]
+        ids = np.full((n, width), _PAD)
+        ids[real] = np.fromiter(chain.from_iterable(sentences), np.intp, int(lengths.sum()))
+        # A stable sort keeps equal ids in sentence order and padding last.
+        positions = ids.argsort(axis=1, kind="stable")
+        ids = np.take_along_axis(ids, positions, axis=1)
+        ids[~real] = 0
+        return cls(ids, lengths, positions)
+
+    def take(self, rows: np.ndarray) -> "SentenceTable":
+        """Rows ``rows`` as a table as wide as their longest sentence."""
+        lengths = self.lengths.take(rows)
+        width = int(lengths.max(initial=0))
+        return SentenceTable(self.ids.take(rows, axis=0)[:, :width], lengths,
+                             self.positions.take(rows, axis=0)[:, :width])
+
+    @staticmethod
+    def concat(tables: Sequence["SentenceTable"]) -> "SentenceTable":
+        """The tables' rows in order, padded to the widest."""
+        width = max(t.ids.shape[1] for t in tables)
+        n = sum(len(t) for t in tables)
+        ids = np.zeros((n, width), dtype=np.intp)
+        positions = np.empty((n, width), dtype=np.intp)
+        positions[:] = np.arange(width)
+        at = 0
+        for t in tables:
+            rows, w = t.ids.shape
+            ids[at:at + rows, :w] = t.ids
+            positions[at:at + rows, :w] = t.positions
+            at += rows
+        return SentenceTable(ids, np.concatenate([t.lengths for t in tables]), positions)
+
+    def in_order(self, rows: np.ndarray) -> np.ndarray:
+        """The id rows ``rows`` in sentence order, padding after."""
+        out = np.empty((len(rows), self.ids.shape[1]), dtype=np.intp)
+        np.put_along_axis(out, self.positions.take(rows, axis=0),
+                          self.ids.take(rows, axis=0), axis=1)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> Sentence:
+        i = range(len(self))[i]  # an index out of range raises IndexError
+        return tuple(self.in_order([i])[0, :self.lengths[i]].tolist())
+
+
 @dataclass
 class BatchEncodeResult:
     """One batched forward: the unit rows (zero where ``ok`` is False) and what
@@ -231,42 +302,66 @@ def encode_batch(
     ``encode(model, sentences[i], rates[i], seeds[i]).embedding`` (rates and
     seeds default to 0). Where ``encode`` would raise (empty sentence, id
     outside the vocabulary, degenerate norm), ``ok[i]`` is False and row i is
-    zero."""
+    zero. A :class:`SentenceTable` is read as it is; other sentences become
+    one padded matrix, sorted row by row."""
     n, (v, d) = len(sentences), model.table.shape
     for name, given in (("rates", rates), ("seeds", seeds)):
         if given is not None and len(given) != n:
             raise ValueError(f"{name} has length {len(given)}, sentences {n}")
     if rates is None:
-        rates = [0.0] * n
-    elif not all(0.0 <= r < 1.0 for r in rates):
+        rates, drop = [0.0] * n, None
+    elif not (((rates >= 0.0) & (rates < 1.0)).all() if isinstance(rates, np.ndarray)
+              else all(0.0 <= r < 1.0 for r in rates)):
         raise EncodeError(f"dropout rates must be in [0, 1), got {rates}")
-    if seeds is None:
-        seeds = [0] * n
-    lengths = [len(s) for s in sentences]
-    width = max(lengths, default=0)
+    else:
+        drop = np.flatnonzero(rates)  # the dropout rows
+        drop = drop if len(drop) else None
     # A plain row's ids ascending, the order encode sums in; a dropout row's in
     # sentence order, which its keep mask follows.
-    ids = np.array([(list(s) if r else sorted(s)) + [0] * (width - k)
-                    for s, r, k in zip(sentences, rates, lengths)], dtype=np.intp).reshape(n, width)
-    bad_id = ids.view(np.uintp) >= v  # a negative id wraps past v
+    if isinstance(sentences, SentenceTable):
+        lengths, ids = sentences.lengths, sentences.ids
+        if drop is not None:
+            ids = ids.copy()
+            ids[drop] = sentences.in_order(drop)
+        real = np.arange(ids.shape[1]) < lengths[:, None]
+        tokens = ids  # padding holds 0, a valid id
+    else:
+        lengths = np.fromiter(map(len, sentences), np.intp, n)
+        ids = np.full((n, max(map(len, sentences), default=0)), _PAD)
+        real = np.arange(ids.shape[1]) < lengths[:, None]
+        ids[real] = tokens = np.fromiter(chain.from_iterable(sentences), np.intp)
+        if drop is None:
+            ids.sort(axis=1)
+        elif len(drop) < n:
+            plain = np.asarray(rates) == 0.0
+            ids[plain] = np.sort(ids[plain], axis=1)
+    width = ids.shape[1]
     vectors = model.table.take(ids, axis=0, mode="clip")  # a bad id's row fails below
     keep = None
-    if any(rates):
+    if drop is not None:
         # One hash over every dropout row; what falls on padding is never read.
-        drop = np.flatnonzero(rates)
         keep = np.ones(vectors.shape, dtype=bool)
-        keep[drop] = (_dropout_uniforms(seed_words([seeds[i] for i in drop]), width, d)
+        words = seed_words(seeds[drop] if isinstance(seeds, np.ndarray)
+                           else [0 if seeds is None else seeds[i] for i in drop])
+        keep[drop] = (_dropout_uniforms(words, width, d)
                       >= np.asarray(rates)[drop, None, None])
         vectors = vectors * keep
     # Padding is left out, so each row sums exactly as encode's does.
-    real = np.greater.outer(lengths, np.arange(width))
     sums = np.add.reduce(vectors, axis=1, where=real[..., None])
     if keep is not None:
         sums = sums / (1.0 - np.array(rates))[:, None]
     norms = np.sqrt(row_dots(sums, sums))
-    # An empty or degenerate sum fails; a non-finite one encodes, as in encode.
-    ok = ~(np.logical_or.reduce(bad_id, axis=1) | (norms <= NORM_EPS))
-    emb = np.divide(sums, norms[:, None], out=np.zeros((n, d)), where=ok[:, None])
+    # An empty or degenerate sum fails, and so does a row with an id outside
+    # the vocabulary (a negative id wraps past v); a non-finite sum encodes,
+    # as in encode.
+    ok = ~(norms <= NORM_EPS)
+    if (tokens.view(np.uintp) >= v).any():
+        ok &= ~np.logical_or.reduce(ids.view(np.uintp) >= v, axis=1, where=real)
+    if ok.all():
+        emb = sums / norms[:, None]
+    else:  # a failing row divides by 1, then is zeroed
+        emb = sums / np.where(ok, norms, 1.0)[:, None]
+        emb[~ok] = 0.0
     return BatchEncodeResult(emb, ok, norms, ids, real, rates, keep)
 
 

@@ -29,10 +29,10 @@ class RankingResult:
     excluded: list[str] = field(default_factory=list)
 
 
-# The last catalogue encoded: (its items as a dict of tuples, the table's
-# shape and dtype, the in-vocabulary token ids its items read, the bytes of
-# those table rows, ids, excluded ids, read-only rows). Rebound whole, never
-# updated in place.
+# The last catalogue encoded: (its items as dicts of tuples keyed by the id()
+# of the mapping each copies, at most two, the table's shape and dtype, the
+# in-vocabulary token ids its items read, the bytes of those table rows, ids,
+# excluded ids, read-only rows). Rebound whole, never updated in place.
 _last_catalogue: tuple | None = None
 
 # The last token catalogue ``evaluate`` mapped to ids: (its items as a dict of
@@ -59,22 +59,33 @@ def _encode_items(
     A catalogue equal to the last one encoded, under a table of the same
     shape and dtype whose rows the items read hold the same bytes, reuses the
     last encoding: those rows are all ``encode_batch`` reads of the table, so
-    the result is the one it would compute. Equal means one ``items ==`` the
-    last catalogue's dict of tuples returns True, else, as when the items
-    are lists or arrays, each ``tuple(items[id])`` equals the last one's.
-    ``evaluate`` passes the id catalogue its token memo (``_item_ids``, keyed
-    on ``corpus.items`` and ``vocab.token_to_id``) returns, so it and
+    the result is the one it would compute. Equal means one ``items ==`` a
+    dict of tuples the memo copied from this same mapping object returns
+    True, else each ``tuple(items[id])`` equals the last catalogue's. The
+    copy shares the mapping's tuples, so while the mapping is unchanged the
+    first test compares each of its values by identity; up to two mappings
+    (the one the entry was made from and the last other one found equal)
+    keep a copy, so ``evaluate``'s id catalogue and a caller's own dict of
+    the same items both hit at that speed. The copies are only ever
+    compared, so a reused id() costs time, never a wrong hit. ``evaluate``
+    passes the id catalogue its token memo (``_item_ids``, keyed on
+    ``corpus.items`` and ``vocab.token_to_id``) returns, so it and
     ``rank_items`` share one entry; both then rank through ``_top_k``."""
     global _last_catalogue
     table = theta.table
     snapshot = None  # the items as a dict of tuples, once built
     if _last_catalogue is not None:
-        last, form, read, row_bytes, ids, excluded, rows = _last_catalogue
+        copies, form, read, row_bytes, ids, excluded, rows = _last_catalogue
         if form == (table.shape, table.dtype):
-            if not _equal(items, last):
+            own = copies.get(id(items))
+            if own is None or not _equal(items, own):
                 snapshot = {iid: tuple(s) for iid, s in items.items()}
-            if ((snapshot is None or _equal(snapshot, last))
+            if ((snapshot is None or _equal(snapshot, next(iter(copies.values()))))
                     and table.take(read, axis=0).tobytes() == row_bytes):
+                if snapshot is not None:  # this mapping's own copy, beside the entry's first
+                    first = next(iter(copies.items()))
+                    _last_catalogue = (dict([first, (id(items), snapshot)]),
+                                       *_last_catalogue[1:])
                 return ids, list(excluded), rows
     if snapshot is None:
         snapshot = {iid: tuple(s) for iid, s in items.items()}
@@ -88,7 +99,7 @@ def _encode_items(
     tokens = enc.ids[enc.real]
     in_vocab = tokens[tokens.view(np.uintp) < theta.vocab_size]  # a negative id wraps past it
     read = np.flatnonzero(np.bincount(in_vocab, minlength=theta.vocab_size))
-    _last_catalogue = (snapshot, (table.shape, table.dtype), read,
+    _last_catalogue = ({id(items): snapshot}, (table.shape, table.dtype), read,
                        table.take(read, axis=0).tobytes(), ids, excluded, rows)
     return ids, list(excluded), rows
 

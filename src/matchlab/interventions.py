@@ -18,6 +18,7 @@ import numpy as np
 from .corpus import Sentence, Tokens, write_table
 from .encoder import (
     EmbeddingModel,
+    SentenceTable,
     check_shared_vocab,
     counter_hash,
     encode_batch,
@@ -60,27 +61,64 @@ def mask_fractions(
 ) -> list[Sentence | None]:
     """``mask_fraction(sentences[i], fraction, seeds[i])`` for every i, in one
     pass over a padded matrix of position hashes, with None for a sentence
-    too short to mask. Padding hashes as the largest word and comes after
-    every position, so a stable sort ranks each row's positions as
-    ``mask_fraction`` does alone."""
+    too short to mask."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    dropped = _dropped(lengths, fraction, seeds)
+    real = np.arange(dropped.shape[1]) < lengths[:, None]
+    return [tuple(compress(s, keep)) if len(s) >= 2 else None
+            for s, keep in zip(sentences, (real & ~dropped).tolist())]
+
+
+def mask_rows(
+    table: SentenceTable, rows: np.ndarray, fraction: float, seeds: np.ndarray
+) -> SentenceTable:
+    """The sentences ``mask_fractions`` makes of rows ``rows`` of ``table``
+    under ``seeds``, as a table: each row is its source row with the dropped
+    slots removed, so its ids stay ascending, and its positions count only
+    the kept tokens. Every source row must be long enough to mask."""
+    lengths = table.lengths.take(rows)
+    dropped = _dropped(lengths, fraction, seeds, table.ids.shape[1])
+    positions = table.positions.take(rows, axis=0)
+    # A slot is dropped when its position is; the positions before a kept one
+    # that were dropped shift it down.
+    keep = ~np.take_along_axis(dropped, positions, axis=1)
+    keep &= np.arange(keep.shape[1]) < lengths[:, None]
+    shifted = positions - np.take_along_axis(dropped.cumsum(axis=1), positions, axis=1)
+    kept = np.count_nonzero(keep, axis=1)
+    width = int(kept.max(initial=0))
+    real = np.arange(width) < kept[:, None]
+    ids = np.zeros((len(rows), width), dtype=np.intp)
+    ids[real] = table.ids.take(rows, axis=0)[keep]
+    out = np.empty((len(rows), width), dtype=np.intp)
+    out[:] = np.arange(width)
+    out[real] = shifted[keep]
+    return SentenceTable(ids, kept, out)
+
+
+def _dropped(lengths: np.ndarray, fraction: float, seeds: Sequence[int],
+             width: int | None = None) -> np.ndarray:
+    """Which positions of sentences of ``lengths`` the masks seeded by
+    ``seeds`` drop, by position: round(fraction * length) of them (half
+    rounds up), clamped so at least one is dropped and one survives, those
+    whose ``counter_hash(word, position)`` is lowest, ties toward the earlier
+    position; none of a sentence too short to mask. Padding hashes as the
+    largest word and comes after every position, so a stable sort ranks each
+    row's positions as ``mask_fraction`` does alone."""
     if not (0.0 < fraction < 1.0):
         raise InterventionError(f"fraction must be in (0, 1), got {fraction}")
-    if len(seeds) != len(sentences):
-        raise ValueError(f"seeds has length {len(seeds)}, sentences {len(sentences)}")
+    if len(seeds) != len(lengths):
+        raise ValueError(f"seeds has length {len(seeds)}, sentences {len(lengths)}")
     words = seed_words(seeds)
-    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     k = np.floor(fraction * lengths + 0.5).astype(np.intp)
     k = np.minimum(np.maximum(k, 1), lengths - 1)
-    width = int(lengths.max(initial=0))
+    width = int(lengths.max(initial=0)) if width is None else width
     keys = counter_hash(words[:, None], np.arange(width))
-    real = np.arange(width) < lengths[:, None]
-    keys[~real] = np.iinfo(np.uint64).max
-    drop = np.empty(keys.shape, dtype=bool)
+    keys[np.arange(width) >= lengths[:, None]] = np.iinfo(np.uint64).max
+    dropped = np.empty(keys.shape, dtype=bool)
     # Rank r of a row's stable order is dropped when r < k.
-    np.put_along_axis(drop, np.argsort(keys, axis=1, kind="stable"),
+    np.put_along_axis(dropped, np.argsort(keys, axis=1, kind="stable"),
                       np.arange(width) < k[:, None], axis=1)
-    return [tuple(compress(s, keep)) if len(s) >= 2 else None
-            for s, keep in zip(sentences, (real & ~drop).tolist())]
+    return dropped
 
 
 def importance_scores(model: EmbeddingModel, sentence: Sentence) -> list[float]:

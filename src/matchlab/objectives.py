@@ -16,7 +16,10 @@ Penalty menu (theta0 is the frozen base model, X' an intervened view of X):
 Every objective is a term under one of three rules, hinge, the residual
 (cos(a, b) - target)^2 (itvreg's target is the base cosine) and outreg, and
 one batched kernel evaluates all terms of a loss: it encodes each distinct
-view once and runs one backward.
+view once and runs one backward. A batch's views are rows of a sentence
+table (``encoder.SentenceTable``): a plain view is its sentence's row, a
+masked view its row with the hash-dropped slots removed, and a dropout view
+its row with a seed.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import logging
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Iterator, NamedTuple
+from itertools import chain, groupby
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .corpus import Corpus, Sentence
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
+    SentenceTable,
     check_shared_vocab,
     counter_hash,
     encode_batch,
@@ -42,7 +46,7 @@ from .encoder import (
     row_dots,
     seed_words,
 )
-from .interventions import mask_fractions
+from .interventions import mask_fractions, mask_rows
 
 logger = logging.getLogger(__name__)
 
@@ -153,27 +157,45 @@ class ScoredExample:
     relevance: float
 
 
+@dataclass(frozen=True, eq=False)
+class TableExamples:
+    """Examples as rows of a sentence table: contrastive examples, with
+    ``targets`` None, as rows (x, z_neg, z_pos); scored examples or augmented
+    pairs as rows (x, z), with one target each."""
+
+    table: SentenceTable
+    rows: np.ndarray
+    targets: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 @dataclass
 class Batch:
-    examples: list
+    """A batch's examples and, for itvaug, its augmented pairs: lists of
+    example objects, or ``TableExamples`` over one table."""
+
+    examples: list | TableExamples
     seed: int
-    augmented: list[AugmentedPair] = field(default_factory=list)
+    augmented: list[AugmentedPair] | TableExamples = field(default_factory=list)
 
 
 class _Terms(NamedTuple):
     """Terms of one rule and one weight (all fitting or all penalty): per term
-    its theta views as (sentence, rate, seed) in the order their gradients
-    add, and its target (None: 1.0). hinge: views (x, z-, z+); residual: (a^T
-    b - target)^2 over views (a, b); itvreg: the residual against the base
-    cosine of views (a, b); outreg: view x against the base model's x."""
+    its theta views as rows of the call's views, in the order their
+    gradients add (a terms x views array), and its targets (None: 1.0).
+    hinge: views (x, z-, z+); residual: (a^T b - target)^2 over views (a,
+    b); itvreg: the residual against the base cosine of views (a, b);
+    outreg: view x against the base model's x."""
 
     rule: str
-    views: list
-    targets: list | None = None
+    views: np.ndarray
+    targets: np.ndarray | None = None
 
 
-def _view(sentence: Sentence, rate: float = 0.0, seed: int = 0) -> tuple:
-    return tuple(sentence), rate, seed if rate else 0
+_ANCHORED = ("outreg", "itvreg")  # the rules that read the base model's views
+_ONE_TERM = {n: np.arange(n)[None] for n in (1, 2, 3)}  # one term over views 0..n-1
 
 
 def _rule(rule: str, v: np.ndarray, target: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,41 +216,41 @@ def _rule(rule: str, v: np.ndarray, target: float | np.ndarray) -> tuple[np.ndar
 def _kernel(
     theta: EmbeddingModel,
     theta0: EmbeddingModel | None,
+    views: Sequence[Sentence] | SentenceTable,
     fits: list[_Terms],
     penalties: list[_Terms],
     lam: float,
     skipped: int = 0,
+    rates: Sequence[float] | None = None,
+    seeds: Sequence[int] | None = None,
 ) -> LossValue:
     """The mean of the fitting terms plus lam times the mean of the penalty
-    terms. Each distinct view is encoded once per model (outreg's and
-    itvreg's sentences under theta0 too), a part is one (terms x views) row
-    matrix, and one backward runs for all terms. A term with a view that does
-    not encode is dropped: a penalty term is counted as skipped, a fitting
-    term only when its views are degenerate (an empty sentence or a bad id
-    raises), and DegenerateNormError is raised when no fitting term remains.
-    Each view's upstream row carries its term's weight, 1/n_fit or
-    lam/n_pen, and the backward adds the views' gradients in term order."""
-    parts = fits + [p for p in penalties if p.views]
-    views: dict[tuple, int] = {}
-    rows = [[[views.setdefault(v, len(views)) for v in term] for term in p.views] for p in parts]
-    base: dict[tuple, int] = {}  # anchor rows follow the view rows
-    for p, part in zip(parts, rows):
-        for r, term in zip(part, p.views if p.rule in ("outreg", "itvreg") else ()):
-            r += [base.setdefault(v[0], len(views) + len(base)) for v in term]
-    enc = encode_batch(theta, *zip(*views))
+    terms, over the distinct ``views`` with their dropout ``rates`` and
+    ``seeds``. Each view is encoded once by theta and, when a term reads the
+    base model, once by theta0 (anchor rows follow the view rows); a part
+    is one (terms x views) row matrix, and one backward runs for all terms.
+    A term with a view that does not encode is dropped: a penalty term is
+    counted as skipped, a fitting term only when its views are degenerate
+    (an empty sentence or a bad id raises), and DegenerateNormError is
+    raised when no fitting term remains. Each view's upstream row carries
+    its term's weight, 1/n_fit or lam/n_pen, and the backward adds the
+    views' gradients in term order."""
+    parts = fits + [p for p in penalties if len(p.views)]
+    enc = encode_batch(theta, views, rates, seeds)
     emb, good = enc.embeddings, enc.ok
-    if base:
+    rows = [p.views for p in parts]
+    if any(p.rule in _ANCHORED for p in parts):
         check_shared_vocab(theta, theta0)
-        enc0 = encode_batch(theta0, list(base))
+        enc0 = encode_batch(theta0, views)
         emb, good = np.concatenate((emb, enc0.embeddings)), np.concatenate((good, enc0.ok))
-    rows = [np.array(r, dtype=np.intp) for r in rows]  # (terms, views + anchors) per part
-    targets = [None if p.targets is None else np.array(p.targets) for p in parts]
+        rows = [np.concatenate((r, r + len(views)), axis=1) if p.rule in _ANCHORED else r
+                for p, r in zip(parts, rows)]
+    targets = [p.targets for p in parts]
     n_terms = list(map(len, rows))
-    if np.count_nonzero(good) < len(good):  # drop each term with a view that does not encode
+    if not good.all():  # drop each term with a view that does not encode
         ok = [np.logical_and.reduce(good[r], axis=1) for r in rows]
-        keys = list(views)
         for row in np.concatenate([r[~k].ravel() for r, k in zip(rows[:len(fits)], ok)]):
-            exc = encode_error(theta, keys[row][0], enc.norms[row])
+            exc = encode_error(theta, tuple(views[row]), enc.norms[row])
             if not isinstance(exc, DegenerateNormError):  # an empty sentence or a bad id
                 raise exc
         rows = [r[k] for r, k in zip(rows, ok)]
@@ -261,40 +283,137 @@ def _kernel(
                      n_skipped_examples=n_fits - n_fit)
 
 
-def _fit_terms(examples) -> list[_Terms]:
-    """The fitting terms of ``examples``, one part per run of one kind."""
-    parts = []
+def _check_targets(targets: np.ndarray) -> None:
+    bad = targets[~((targets >= -1.0 - 1e-9) & (targets <= 1.0 + 1e-9))]
+    if len(bad):
+        raise ValueError(f"target {bad[0]} outside [-1, 1]")
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an integer matrix that first show each distinct row
+    content, and each row's index among them."""
+    keys = np.ascontiguousarray(keys)
+    whole = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def _sentence_keys(table: SentenceTable) -> np.ndarray:
+    # Equal keys are equal sentences, token order included.
+    return np.column_stack((table.lengths, table.ids, table.positions))
+
+
+def _distinct_rows(keys: list[np.ndarray], n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct table rows (below ``n``) among the arrays ``keys``,
+    ascending, and each array as indices into them."""
+    at = np.zeros(n, dtype=np.intp)
+    for k in keys:
+        at[k] = 1
+    rows = at.nonzero()[0]
+    at[rows] = np.arange(len(rows))
+    return rows, [at.take(k) for k in keys]
+
+
+def _table_terms(examples: list, augmented: list) -> tuple[SentenceTable, list[_Terms],
+                                                            _Terms | None]:
+    """Example and augmented-pair objects as terms over one table of their
+    distinct sentences: one fitting part per run of one kind, and the
+    augmented pairs' residual part."""
+    sentences, fits = [], []
+
+    def rows(views: list) -> np.ndarray:
+        at = len(sentences)
+        sentences.extend(chain.from_iterable(views))
+        return np.arange(at, len(sentences)).reshape(len(views), -1)
+
     for kind, run in groupby(examples, type):
+        run = list(run)
         if issubclass(kind, ContrastiveExample):
-            parts.append(_Terms("hinge", [(_view(e.x), _view(e.z_neg), _view(e.z_pos))
-                                          for e in run]))
+            fits.append(_Terms("hinge", rows([(e.x, e.z_neg, e.z_pos) for e in run])))
         elif issubclass(kind, ScoredExample):
-            run = list(run)
-            bad = [e.relevance for e in run if not -1.0 - 1e-9 <= e.relevance <= 1.0 + 1e-9]
-            if bad:
-                raise ValueError(f"target {bad[0]} outside [-1, 1]")
-            parts.append(_Terms("residual", [(_view(e.x), _view(e.z)) for e in run],
-                                [e.relevance for e in run]))
+            fits.append(_Terms("residual", rows([(e.x, e.z) for e in run]),
+                               np.array([e.relevance for e in run])))
         else:
             raise TypeError(f"unsupported example type {kind.__name__}")
-    return parts
+    aug = None
+    if augmented:
+        aug = _Terms("residual", rows([(ap.x, ap.x_prime) for ap in augmented]),
+                     np.array([ap.target for ap in augmented]))
+    table = SentenceTable.of(sentences)
+    first, inverse = _distinct(_sentence_keys(table))
+    fits = [p._replace(views=inverse[p.views]) for p in fits]
+    return table.take(first), fits, aug and aug._replace(views=inverse[aug.views])
 
 
-def _penalty_terms(kind: str, xs: list, x_primes=(), seeds=(), rate: float = 0.0) -> _Terms:
-    """The penalty terms of ``kind`` over sentences ``xs``, with their masked
-    views ``x_primes`` (itvreg, maskreg) or a seed pair each (simcse)."""
-    if kind == "simcse":
-        return _Terms("residual", [(_view(x, rate, a), _view(x, rate, b))
-                                   for x, (a, b) in zip(xs, seeds)])
-    if kind == "outreg":
-        return _Terms("outreg", [(_view(x),) for x in xs])
-    return _Terms("itvreg" if kind == "itvreg" else "residual",
-                  [(_view(x), _view(x_prime)) for x, x_prime in zip(xs, x_primes)])
+def _loss(theta: EmbeddingModel, theta0: EmbeddingModel | None, table: SentenceTable,
+          fits: list[_Terms], aug: _Terms | None, seed: int,
+          config: RegularizerConfig) -> LossValue:
+    """``total_loss`` over fitting and augmented terms whose views are rows
+    of ``table``. The penalty sentences are each example's x, then its z+
+    (contrastive) or z. Each view is encoded once: plain views once per
+    row, then the masked views, made one per penalty sentence and kept once
+    per sentence they make, or the dropout views, one per penalty sentence
+    and draw, whose seeds hash their own coordinates and so differ."""
+    for p in fits:
+        if p.targets is not None:
+            _check_targets(p.targets)
+    kind, skipped = config.kind, 0
+    # The penalty's terms: plain views first (rows of table), then views
+    # that follow the plain ones (masked or dropout).
+    pen_plain = pen_after = masked = drops = None
+    rule, targets = "itvreg" if kind == "itvreg" else "residual", None
+    if kind == "itvaug" and aug is not None:
+        pen_plain, targets = aug.views, aug.targets
+    elif kind not in ("none", "itvaug"):
+        xs = np.concatenate([p.views[:, [0, 2] if p.rule == "hinge" else [0, 1]].ravel()
+                             for p in fits])
+        # seeds[i, draw] is intervention_seed(seed, i, draw), one hash for all.
+        seeds = counter_hash(seed_words([seed]), np.arange(len(xs))[:, None],
+                             np.arange(2 if kind == "simcse" else 1))
+        if kind == "outreg":
+            rule, pen_plain = "outreg", xs[:, None]
+        elif kind == "simcse" and config.dropout_rate == 0.0:  # two plain views
+            pen_plain = np.stack((xs, xs), axis=1)
+        elif kind == "simcse":
+            drops = (xs.repeat(2), seeds.ravel())
+            pen_after = np.arange(2 * len(xs)).reshape(-1, 2)
+        else:  # itvreg and maskreg: x and its masked view
+            at = (table.lengths.take(xs) >= 2).nonzero()[0]
+            skipped = len(xs) - len(at)
+            masked = mask_rows(table, xs.take(at), config.resolved_mask_fraction,
+                               seeds[:, 0].take(at))
+            first, inverse = _distinct(_sentence_keys(masked))
+            masked = masked.take(first)
+            pen_plain, pen_after = xs.take(at)[:, None], inverse[:, None]
+    plain = [p.views for p in fits] + ([] if pen_plain is None else [pen_plain])
+    rows, plain = _distinct_rows(plain, len(table))
+    fits = [p._replace(views=v) for p, v in zip(fits, plain)]
+    penalties = []
+    if pen_plain is not None or pen_after is not None:
+        cols = [plain[-1]] if pen_plain is not None else []
+        if pen_after is not None:
+            cols.append(pen_after + len(rows))
+        penalties = [_Terms(rule, np.concatenate(cols, axis=1), targets)]
+    rates = seeds = None
+    if drops is not None:
+        views = table.take(np.concatenate((rows, drops[0])))
+        rates = np.zeros(len(views))
+        rates[len(rows):] = config.dropout_rate
+        seeds = np.zeros(len(views), dtype=np.uint64)
+        seeds[len(rows):] = drops[1]
+    elif masked is not None:
+        views = SentenceTable.concat([table.take(rows), masked])
+    else:
+        views = table.take(rows)
+    return _kernel(theta, theta0, views, fits, penalties, config.lam, skipped, rates, seeds)
 
 
-def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, part: _Terms) -> LossValue:
-    # One penalty term, reported as a penalty of weight 1; a bad view raises.
-    lv = _kernel(theta, theta0, [part], [], 0.0)
+def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, views: list,
+           rule: str, rates=None, seeds=None) -> LossValue:
+    # One penalty term over its views, reported as a penalty of weight 1; a
+    # bad view raises.
+    lv = _kernel(theta, theta0, views, [_Terms(rule, _ONE_TERM[len(views)])], [], 0.0,
+                 rates=rates, seeds=seeds)
     return LossValue(0.0, lv.erm, lv.total, lv.gradient)
 
 
@@ -302,7 +421,7 @@ def contrastive_loss(
     theta: EmbeddingModel, x: Sentence, z_pos: Sentence, z_neg: Sentence
 ) -> LossValue:
     """Hinge max(0, 1 + f(X)^T f(Z-) - f(X)^T f(Z+)); subgradient 0 at the kink."""
-    return _kernel(theta, None, _fit_terms([ContrastiveExample(x, z_pos, z_neg)]), [], 0.0)
+    return _kernel(theta, None, [x, z_neg, z_pos], [_Terms("hinge", _ONE_TERM[3])], [], 0.0)
 
 
 def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> LossValue:
@@ -311,12 +430,15 @@ def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> 
     Targets may lie anywhere in [-1, 1]: corpus relevance grades use [0, 1],
     augmented-pair targets are base-model cosines.
     """
-    return _kernel(theta, None, _fit_terms([ScoredExample(x, z, target)]), [], 0.0)
+    if not -1.0 - 1e-9 <= target <= 1.0 + 1e-9:
+        raise ValueError(f"target {target} outside [-1, 1]")
+    return _kernel(theta, None, [x, z], [_Terms("residual", _ONE_TERM[2], np.array([target]))],
+                   [], 0.0)
 
 
 def outreg_penalty(theta: EmbeddingModel, theta0: EmbeddingModel, x: Sentence) -> LossValue:
     """|| f_theta(X) - f_theta0(X) ||^2; in [0, 4] for unit outputs."""
-    return _alone(theta, theta0, _penalty_terms("outreg", [x]))
+    return _alone(theta, theta0, [x], "outreg")
 
 
 def itvreg_penalty(
@@ -324,19 +446,19 @@ def itvreg_penalty(
 ) -> LossValue:
     """Squared gap between theta's and theta0's similarity drop under the
     same intervention; zero whenever theta tracks the base model's response."""
-    return _alone(theta, theta0, _penalty_terms("itvreg", [x], [x_prime]))
+    return _alone(theta, theta0, [x, x_prime], "itvreg")
 
 
 def maskreg_penalty(theta: EmbeddingModel, x: Sentence, x_prime: Sentence) -> LossValue:
     """(f(X)^T f(X') - 1)^2: push masked views to look identical."""
-    return _alone(theta, None, _penalty_terms("maskreg", [x], [x_prime]))
+    return _alone(theta, None, [x, x_prime], "residual")
 
 
 def simcse_penalty(
     theta: EmbeddingModel, x: Sentence, seed_a: int, seed_b: int, rate: float
 ) -> LossValue:
     """(f(X, s)^T f(X, s') - 1)^2 over two dropout views of the same sentence."""
-    return _alone(theta, None, _penalty_terms("simcse", [x], seeds=[(seed_a, seed_b)], rate=rate))
+    return _alone(theta, None, [x, x], "residual", [rate, rate], [seed_a, seed_b])
 
 
 def intervention_seed(batch_seed: int, index: int, draw: int = 0) -> int:
@@ -395,35 +517,22 @@ def total_loss(
     penalty cannot handle (too short to mask, degenerate views) are skipped
     and counted, never zero-filled; so are examples whose fitting loss meets a
     degenerate view, and the fitting mean runs over the examples that remain.
-    Raises DegenerateNormError only when no example remains.
+    Raises DegenerateNormError only when no example remains. The examples
+    and augmented pairs come as objects or as ``TableExamples`` over one
+    table; both give the same result.
     """
     if not batch.examples:
         raise ValueError("batch must contain at least one example")
     if config.kind in ("outreg", "itvreg") and theta0 is None:
         raise ValueError(f"{config.kind} requires a base model")
 
-    fits, penalties, skipped = _fit_terms(batch.examples), [], 0
-    if config.kind == "itvaug":
-        aug = batch.augmented
-        penalties = [_Terms("residual", [(_view(ap.x), _view(ap.x_prime)) for ap in aug],
-                            targets=[ap.target for ap in aug])]
-    elif config.kind != "none":
-        # Penalties see queries and items alike.
-        xs = [s for ex in batch.examples
-              for s in (ex.x, ex.z_pos if isinstance(ex, ContrastiveExample) else ex.z)]
-        if config.kind == "outreg":
-            penalties = [_penalty_terms("outreg", xs)]
-        else:
-            # seeds[i, draw] is intervention_seed(batch.seed, i, draw), one hash for all.
-            seeds = counter_hash(seed_words([batch.seed]), np.arange(len(xs))[:, None],
-                                 np.arange(2 if config.kind == "simcse" else 1))
-            if config.kind == "simcse":
-                penalties = [_penalty_terms("simcse", xs, seeds=seeds.tolist(),
-                                            rate=config.dropout_rate)]
-            else:
-                masked = mask_fractions(xs, config.resolved_mask_fraction, seeds[:, 0])
-                kept = [(x, x_prime) for x, x_prime in zip(xs, masked) if x_prime is not None]
-                skipped = len(xs) - len(kept)
-                penalties = [_penalty_terms(config.kind, [x for x, _ in kept],
-                                            [x_prime for _, x_prime in kept])]
-    return _kernel(theta, theta0, fits, penalties, config.lam, skipped)
+    examples, augmented = batch.examples, batch.augmented if config.kind == "itvaug" else []
+    if isinstance(examples, TableExamples):
+        if augmented and getattr(augmented, "table", None) is not examples.table:
+            raise TypeError("augmented pairs of table examples must be rows of their table")
+        fits = [_Terms("hinge" if examples.targets is None else "residual", examples.rows,
+                       examples.targets)]
+        aug = _Terms("residual", augmented.rows, augmented.targets) if augmented else None
+        return _loss(theta, theta0, examples.table, fits, aug, batch.seed, config)
+    table, fits, aug = _table_terms(examples, augmented)
+    return _loss(theta, theta0, table, fits, aug, batch.seed, config)

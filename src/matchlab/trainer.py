@@ -19,17 +19,16 @@ from .corpus import Corpus, Sentence, Vocab, write_table
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
+    SentenceTable,
     check_shared_vocab,
     encode_batch,
     row_dots,
 )
 from .objectives import (
-    AugmentedPair,
     Batch,
-    ContrastiveExample,
     RegularizerConfig,
-    ScoredExample,
     SparseGradient,
+    TableExamples,
     build_itvaug,
     total_loss,
 )
@@ -109,35 +108,60 @@ def mine_negatives(
         raise ValueError(f"unknown negative strategy {strategy!r}")
     if len(batch) < 2:
         raise ValueError("in-batch mining needs at least 2 examples")
+    n = len(batch)
+    col = {iid: c for c, iid in enumerate(sorted(dict.fromkeys(ex.item_id for ex in batch)))}
+    # relevance[i, c]: item c is relevant to example i's query
+    hits = [(i, col[iid]) for i, ex in enumerate(batch)
+            for iid in relevant.get(ex.query_id, ()) if iid in col]
+    relevance = np.zeros((n, len(col)), dtype=bool)
+    relevance[tuple(np.array(hits, dtype=np.intp).reshape(-1, 2).T)] = True
+    table = SentenceTable.of([ex.x for ex in batch] + [ex.z_pos for ex in batch])
+    items = np.array([col[ex.item_id] for ex in batch], dtype=np.intp)
+    neg = _mine(theta, table, np.arange(n), np.arange(n, 2 * n), np.arange(n), items,
+                relevance, strategy, seed)
+    return [(batch[j].item_id, batch[j].z_pos) if j >= 0 else None for j in neg.tolist()]
 
-    enc = encode_batch(theta, [ex.x for ex in batch] + [ex.z_pos for ex in batch])
-    (q, z), (q_ok, z_ok) = np.split(enc.embeddings, 2), np.split(enc.ok, 2)
-    item_row: dict[str, int] = {}  # each item's first encodable occurrence
-    for j, ex in enumerate(batch):
-        if z_ok[j]:
-            item_row.setdefault(ex.item_id, j)
-    cands = sorted(item_row)  # the candidate columns, ids ascending
-    col = {iid: c for c, iid in enumerate(cands)}
-    off = [(i, col[iid]) for i, ex in enumerate(batch)
-           for iid in col.keys() & {ex.item_id, *relevant.get(ex.query_id, ())}]
-    allowed = np.ones((len(batch), len(cands)), dtype=bool)
-    allowed[tuple(np.array(off, dtype=np.intp).reshape(-1, 2).T)] = False
-    allowed[~q_ok] = False
-    has = allowed.any(axis=1).tolist()
-    if not any(has):  # also no candidate column at all
-        return [None] * len(batch)
 
+def _mine(
+    theta: EmbeddingModel,
+    table: SentenceTable,
+    x_rows: np.ndarray,
+    z_rows: np.ndarray,
+    queries: np.ndarray,
+    items: np.ndarray,
+    relevant: np.ndarray,
+    strategy: str,
+    seed: int,
+) -> np.ndarray:
+    """``mine_negatives`` over index arrays: example i's query and positive
+    are rows ``x_rows[i]`` and ``z_rows[i]`` of ``table``, its query is
+    ``queries[i]`` and its item ``items[i]``, and ``relevant[query, item]``
+    marks ground truth; items are numbered in id order. Returns, for each
+    example, the example whose positive is its negative (that item's first
+    encodable occurrence), or -1 for none."""
+    n = len(x_rows)
+    enc = encode_batch(theta, table.take(np.concatenate((x_rows, z_rows))))
+    q, z = enc.embeddings[:n], enc.embeddings[n:]
+    at = enc.ok[n:].nonzero()[0]
+    cands, first = np.unique(items.take(at), return_index=True)  # ids ascending
+    item_row = at.take(first)  # each candidate item's first encodable occurrence
+    allowed = ~relevant[queries[:, None], cands]
+    allowed &= cands != items[:, None]
+    allowed &= enc.ok[:n, None]
+    has = allowed.any(axis=1)
+    if not has.any():  # also no candidate column at all
+        return np.full(n, -1)
     if strategy == "in-batch-hardest":
-        sims = row_dots(z[[item_row[c] for c in cands]], q[:, None])
+        sims = row_dots(z.take(item_row, axis=0), q[:, None])
         # Columns are id-sorted and argmax keeps the first maximum, so ties go
         # to the smallest id; a masked column scores -inf, below any cosine.
-        pick = np.where(allowed, sims, -np.inf).argmax(axis=1).tolist()
-    else:
-        rng = np.random.default_rng(seed)
-        pick = [int(np.flatnonzero(row)[rng.integers(np.count_nonzero(row))]) if h else 0
-                for row, h in zip(allowed, has)]
-    return [(cands[c], batch[item_row[cands[c]]].z_pos) if h else None
-            for c, h in zip(pick, has)]
+        pick = np.where(allowed, sims, -np.inf).argmax(axis=1)
+    else:  # one uniform draw over each row's allowed columns, rows in order
+        counts = np.count_nonzero(allowed, axis=1)
+        pick = np.zeros(n, dtype=np.intp)
+        draw = np.random.default_rng(seed).integers(counts[has])
+        pick[has] = (allowed[has].cumsum(axis=1) > draw[:, None]).argmax(axis=1)
+    return np.where(has, item_row.take(pick, mode="clip"), -1)
 
 
 class _SparseAdam:
@@ -208,22 +232,31 @@ def train(
     adam = _SparseAdam(config.learning_rate, *ADAM_BETAS_EPS)
     skipped = {"no_negative": 0, "degenerate": 0, "short_batch": 0, "penalty_terms": 0}
 
-    q_sent = {qid: vocab.encode(toks) for qid, toks in corpus_train.queries.items()}
-    i_sent = {iid: vocab.encode(toks) for iid, toks in corpus_train.items.items()}
+    # One table of the run's sentences: the queries, then the items, each in
+    # id order, then the augmented pairs' x and x'. A batch is rows of it.
+    index = corpus_train.pair_index()
+    n_q = len(index.query_ids)
+    sentences = ([vocab.encode(corpus_train.queries[qid]) for qid in index.query_ids]
+                 + [vocab.encode(corpus_train.items[iid]) for iid in index.item_ids])
 
     if config.loss_kind == "contrastive":
-        relevant = corpus_train.relevant_by_query()
-        anchors = sorted(q for q, items in relevant.items() if items)
+        relevant = np.zeros((n_q, len(index.item_ids)), dtype=bool)
+        relevant[index.rows[index.positive], index.cols[index.positive]] = True
+        anchors = relevant.any(axis=1).nonzero()[0]
         if len(anchors) < 2:
             raise TrainError("contrastive training needs >= 2 queries with a relevant item")
-        positives_pool = {q: sorted(relevant[q]) for q in anchors}
+        # Each anchor's relevant items, ids ascending, one run per anchor.
+        counts = np.count_nonzero(relevant[anchors], axis=1)
+        pool, starts = relevant[anchors].nonzero()[1], counts.cumsum() - counts
         n_examples = len(anchors)
     else:
-        if not corpus_train.pairs:
+        pair_rows = np.stack((index.rows, n_q + index.cols), axis=1).astype(np.intp)
+        if not len(pair_rows):
             raise TrainError("mse training needs labeled pairs")
-        n_examples = len(corpus_train.pairs)
+        relevance = index.positive * 1.0 if index.relevance is None else index.relevance
+        n_examples = len(pair_rows)
 
-    aug_pairs: list[AugmentedPair] = []
+    aug_rows = aug_targets = None
     if config.regularizer.kind == "itvaug":
         aug_pairs = build_itvaug(
             corpus_train,
@@ -232,6 +265,11 @@ def train(
             config.regularizer.resolved_mask_fraction,
             seed=int(rng.integers(np.iinfo(np.int64).max)),
         )
+        n_sent, n_aug = len(sentences), len(aug_pairs)
+        sentences += [ap.x for ap in aug_pairs] + [ap.x_prime for ap in aug_pairs]
+        aug_rows = n_sent + np.stack((np.arange(n_aug), n_aug + np.arange(n_aug)), axis=1)
+        aug_targets = np.array([ap.target for ap in aug_pairs])
+    table = SentenceTable.of(sentences)
 
     trace: list[tuple[float, float, float]] = []
     # A diverging step overflows silently: its non-finite loss or table rows
@@ -239,10 +277,9 @@ def train(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             if config.loss_kind == "contrastive":
-                positives = {
-                    q: positives_pool[q][int(rng.integers(len(positives_pool[q])))]
-                    for q in anchors
-                }
+                # One draw per anchor, in order, as one rng.integers call per
+                # anchor would make them.
+                positives = pool[starts + rng.integers(counts)]
             order = rng.permutation(n_examples)
             batches = _chunk(order, config.batch_size)
             if config.loss_kind == "contrastive" and len(batches) > 1 and len(batches[-1]) < 2:
@@ -250,8 +287,8 @@ def train(
                 skipped["short_batch"] += 1
 
             aug_slices: list[np.ndarray] = []
-            if aug_pairs:
-                aug_slices = np.array_split(rng.permutation(len(aug_pairs)), len(batches))
+            if aug_rows is not None and len(aug_rows):
+                aug_slices = np.array_split(rng.permutation(len(aug_rows)), len(batches))
 
             erm_sum = pen_sum = total_sum = 0.0
             weight = 0
@@ -260,32 +297,21 @@ def train(
                 batch_seed = int(rng.integers(np.iinfo(np.int64).max))
 
                 if config.loss_kind == "contrastive":
-                    mbatch = [
-                        MiningExample(anchors[i], q_sent[anchors[i]],
-                                      positives[anchors[i]], i_sent[positives[anchors[i]]])
-                        for i in batch_order
-                    ]
-                    mined = mine_negatives(theta, mbatch, relevant,
-                                           config.negative_strategy, mining_seed)
-                    examples = []
-                    for ex, neg in zip(mbatch, mined):
-                        if neg is None:
-                            skipped["no_negative"] += 1
-                            continue
-                        examples.append(ContrastiveExample(ex.x, ex.z_pos, neg[1]))
+                    x, z = anchors[batch_order], positives[batch_order]
+                    neg = _mine(theta, table, x, n_q + z, x, z, relevant,
+                                config.negative_strategy, mining_seed)
+                    has = neg >= 0
+                    skipped["no_negative"] += len(has) - int(np.count_nonzero(has))
+                    examples = TableExamples(
+                        table, np.stack((x[has], n_q + z[neg[has]], n_q + z[has]), axis=1))
                 else:
-                    examples = [
-                        ScoredExample(
-                            q_sent[corpus_train.pairs[i].query_id],
-                            i_sent[corpus_train.pairs[i].item_id],
-                            corpus_train.pairs[i].relevance,
-                        )
-                        for i in batch_order
-                    ]
+                    examples = TableExamples(table, pair_rows[batch_order],
+                                             relevance[batch_order])
 
-                if not examples:
+                if not len(examples):
                     continue
-                aug = [aug_pairs[i] for i in aug_slices[b_idx]] if aug_pairs else []
+                aug = (TableExamples(table, aug_rows[aug_slices[b_idx]],
+                                     aug_targets[aug_slices[b_idx]]) if aug_slices else [])
                 try:
                     lv = total_loss(theta, theta0, Batch(examples, batch_seed, aug),
                                     config.regularizer)

@@ -166,6 +166,38 @@ class TestCatalogueMemo:
         rank_items(model, (1,), items, k=2)
         assert encode_calls == [(1,)]
 
+    def test_alternating_evaluate_and_rank_items_encode_no_item_again(self, encode_calls):
+        # evaluate's id catalogue and the caller's own dict hold equal items
+        # in different tuple objects; each keeps a copy sharing its tuples,
+        # so both hit, and each hit compares its values by identity.
+        corpus, model = _eval_corpus_and_model(seed=12)
+        items = {iid: model.vocab.encode(toks) for iid, toks in corpus.items.items()}
+        evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        encode_calls.clear()
+        for _ in range(3):
+            evaluate(model, corpus, ks=(1, 3), n_bins=2)
+            rank_items(model, (1,), items, k=2)
+        assert len(encode_calls) == 3 * (len(corpus.queries) + 1)  # the queries only
+        id_items = matchlab.evaluation._last_item_ids[2]
+        copies = list(matchlab.evaluation._last_catalogue[0].values())
+        for mapping in (items, id_items):
+            assert any(all(copy[iid] is mapping[iid] for iid in mapping) for copy in copies)
+
+    def test_edit_through_the_second_alias_misses(self, encode_calls):
+        corpus, model = _eval_corpus_and_model(seed=13)
+        items = {iid: model.vocab.encode(toks) for iid, toks in corpus.items.items()}
+        evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        rank_items(model, (1,), items, k=2)  # items now keeps a copy of its own
+        items["i00"] = items["i00"] + (3,)
+        encode_calls.clear()
+        got = rank_items(model, (1,), items, k=2)
+        assert len(encode_calls) == 1 + len(items)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matchlab.evaluation, "_encode_items", encode_each_item)
+            assert got == rank_items(model, (1,), items, k=2)
+        assert evaluate(model, corpus, ks=(1, 3), n_bins=2) == \
+            evaluate_without_memos(model, corpus, ks=(1, 3), n_bins=2)
+
     def test_cached_rows_are_read_only(self):
         model, items = self._catalogue(1)
         _encode_items(model, items)

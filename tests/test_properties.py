@@ -1,9 +1,10 @@
 """Property tests: the batched forward against ``encode``, the batched and
 one-row backwards against the per-sentence reference in ``reference.py``,
 the array Adam and the one-matrix miner against their per-row references
-there, masking bounds, the hashed intervention stream (hash, batched masks
-and dropout keep masks) against its Python-integer references with two
-distribution checks, partial AUC against a brute-force threshold sweep,
+there, the training step fed from a run's sentence table against the same
+step fed sentences (losses, masked rows and mining), masking bounds, the
+hashed intervention stream (hash, batched masks and dropout keep masks)
+against its Python-integer references with two distribution checks, partial AUC against a brute-force threshold sweep,
 rankings and reports through the catalogue memo against per-item encodes,
 the top-k selection against the full stable sort, and reports through a
 built or a reused pair index against the per-query evaluate."""
@@ -23,6 +24,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import matchlab.evaluation  # noqa: E402
 from matchlab import (  # noqa: E402
+    AugmentedPair,
+    Batch,
+    ContrastiveExample,
     Corpus,
     EmbeddingModel,
     EncodeError,
@@ -30,6 +34,11 @@ from matchlab import (  # noqa: E402
     InterventionError,
     MiningExample,
     Pair,
+    REGULARIZER_KINDS,
+    RegularizerConfig,
+    ScoredExample,
+    SentenceTable,
+    TableExamples,
     auc_partial,
     encode,
     encode_backward,
@@ -40,12 +49,13 @@ from matchlab import (  # noqa: E402
     mine_negatives,
     rank_items,
     row_dots,
+    total_loss,
 )
 from matchlab.encoder import counter_hash, encode_batch_backward, seed_words  # noqa: E402
 from matchlab.evaluation import _top_k  # noqa: E402
-from matchlab.interventions import mask_fractions  # noqa: E402
+from matchlab.interventions import mask_fractions, mask_rows  # noqa: E402
 from matchlab.objectives import SparseGradient  # noqa: E402
-from matchlab.trainer import _SparseAdam  # noqa: E402
+from matchlab.trainer import _mine, _SparseAdam  # noqa: E402
 
 import reference  # noqa: E402
 from conftest import make_vocab, model_from_rows  # noqa: E402
@@ -283,6 +293,107 @@ def test_one_matrix_mining_is_the_per_example_miner(case):
     model, batch, relevant, strategy, seed = case
     assert (mine_negatives(model, batch, relevant, strategy, seed)
             == reference.mine_negatives(model, batch, relevant, strategy, seed))
+
+
+@st.composite
+def table_batches(draw):
+    """A run's sentences and a batch of rows of them under every
+    regularizer: repeated ids, sentences of length 1 (too short to mask),
+    sums that cancel (degenerate views), now and then a bad id, and the same
+    sentence in more than one row."""
+    dim = draw(st.integers(2, 4))
+    base = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    rows = base + [[-x for x in r] for r in base[:draw(st.integers(0, len(base)))]]
+    theta = model_from_rows(rows)
+    theta0 = model_from_rows(draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                                           min_size=len(rows), max_size=len(rows))),
+                             frozen=True)
+    v = theta.vocab_size
+    sentence = st.lists(st.integers(0, v - 1), min_size=1, max_size=5).map(tuple)
+    pool = draw(st.lists(sentence, min_size=2, max_size=8))
+    if draw(st.integers(0, 4)) == 4:  # one sentence holds an id past the vocabulary
+        pool[draw(st.integers(0, len(pool) - 1))] += (v,)
+    pool += draw(st.lists(st.sampled_from(pool), max_size=2))  # one sentence, two rows
+    row = st.integers(0, len(pool) - 1)
+    n = draw(st.integers(1, 6))
+    contrastive = draw(st.booleans())
+    ex_rows = np.array(draw(st.lists(st.lists(row, min_size=3 if contrastive else 2,
+                                              max_size=3 if contrastive else 2),
+                                     min_size=n, max_size=n)), dtype=np.intp)
+    targets = None if contrastive else np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    m = draw(st.integers(0, 4))
+    aug_rows = np.array(draw(st.lists(st.lists(row, min_size=2, max_size=2),
+                                      min_size=m, max_size=m)), dtype=np.intp).reshape(m, 2)
+    aug_targets = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    config = RegularizerConfig(kind=draw(st.sampled_from(REGULARIZER_KINDS)),
+                               lam=draw(st.floats(0.0, 2.0)),
+                               mask_fraction=draw(st.none() | st.floats(0.05, 0.95)),
+                               dropout_rate=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    return (theta, theta0, pool, ex_rows, targets, aug_rows, aug_targets, config,
+            draw(st.integers(0, 2**64 - 1)))
+
+
+def outcome_of(fn, *args):
+    """A loss's numbers, gradient bytes and counts, or the error it raises."""
+    try:
+        lv = fn(*args)
+    except (EncodeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (lv.erm, lv.penalty, lv.total, lv.gradient.ids.tolist(), lv.gradient.rows.tobytes(),
+            lv.n_penalty_terms, lv.n_skipped_penalty, lv.n_skipped_examples)
+
+
+@PROPERTY
+@given(table_batches())
+def test_the_table_step_is_the_sentence_step(case):
+    theta, theta0, pool, ex_rows, targets, aug_rows, aug_targets, config, seed = case
+    table = SentenceTable.of(pool)
+    got = outcome_of(total_loss, theta, theta0,
+                     Batch(TableExamples(table, ex_rows, targets), seed,
+                           TableExamples(table, aug_rows, aug_targets)), config)
+    if targets is None:
+        examples = [ContrastiveExample(pool[x], pool[zp], pool[zn]) for x, zn, zp in ex_rows]
+    else:
+        examples = [ScoredExample(pool[x], pool[z], t) for (x, z), t in zip(ex_rows, targets)]
+    augmented = [AugmentedPair(pool[x], pool[xp], t)
+                 for (x, xp), t in zip(aug_rows, aug_targets)]
+    want = outcome_of(total_loss, theta, theta0, Batch(examples, seed, augmented), config)
+    assert got == want
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=12).map(tuple),
+                min_size=1, max_size=10),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**70), st.data())
+def test_masked_rows_are_the_sorted_masks(sentences, fraction, batch_seed, data):
+    table = SentenceTable.of(sentences + [(5,)])  # a short row widens nothing
+    rows = np.array(data.draw(st.lists(st.integers(0, len(sentences) - 1), max_size=12)),
+                    dtype=np.intp)
+    seeds = [intervention_seed(batch_seed, i) for i in range(len(rows))]
+    masked = mask_rows(table, rows, fraction, np.array(seeds, dtype=np.uint64))
+    want = mask_fractions([sentences[r] for r in rows], fraction, seeds)
+    for i, w in enumerate(want):
+        assert masked.ids[i, :masked.lengths[i]].tolist() == sorted(w)
+        assert masked[i] == w  # in sentence order, from the positions kept
+        assert sorted(masked.positions[i].tolist()) == list(range(masked.ids.shape[1]))
+
+
+@PROPERTY
+@given(mining_batches())
+def test_mining_through_the_relevance_matrix_is_the_per_example_miner(case):
+    model, batch, relevant, strategy, seed = case
+    qids, iids = ["q0", "q1", "q2", "q3"], ["i0", "i1", "i2", "i3", "i4"]
+    matrix = np.array([[iid in relevant.get(qid, ()) for iid in iids] for qid in qids])
+    # The run's table holds other sentences too; the batch reads its rows.
+    table = SentenceTable.of([(1,)] + [ex.x for ex in batch] + [ex.z_pos for ex in batch])
+    n = len(batch)
+    neg = _mine(model, table, 1 + np.arange(n), 1 + n + np.arange(n),
+                np.array([qids.index(ex.query_id) for ex in batch]),
+                np.array([iids.index(ex.item_id) for ex in batch]), matrix, strategy, seed)
+    got = [(batch[j].item_id, table[1 + n + j]) if j >= 0 else None for j in neg.tolist()]
+    assert got == reference.mine_negatives(model, batch, relevant, strategy, seed)
 
 
 @PROPERTY

@@ -2,8 +2,9 @@
 intervention stream builds no random generator, one function holds the
 artifact float format, the backward holds no Python loop, scoring
 selects its top k without sorting a whole score matrix, the pair index is
-the one pass from a corpus's pairs to arrays, one writer makes
-every synthetic sentence and one parser reads every comma-list flag."""
+the one pass from a corpus's pairs to arrays, the training step keeps its
+sentences in id arrays, one writer makes every synthetic sentence and one
+parser reads every comma-list flag."""
 
 from __future__ import annotations
 
@@ -136,6 +137,37 @@ def test_the_pair_index_is_the_one_pass_from_pairs_to_arrays():
                             for n in nodes)):
                 passes.add(f"{path.stem}.{func.name}")
     assert passes == {"corpus.pair_index"}, passes
+
+
+# The training step reads its sentences as rows of one id table: views are
+# deduplicated as integer keys, not as tuples in a dict, the forward sorts
+# whole id matrices, not one sentence at a time, and mining reads relevance
+# from a matrix, not from a set per example.
+SET_CALLS = ("set", "frozenset")
+
+
+def test_views_are_keyed_by_rows_not_by_tuples():
+    tree = ast.parse((Path(matchlab.__file__).parent / "objectives.py").read_text("utf-8"))
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_view" not in names
+    dedups = [node.lineno for node in ast.walk(_function("objectives", "_kernel"))
+              if isinstance(node, ast.Attribute) and node.attr == "setdefault"]
+    assert not dedups, f"objectives._kernel keys views in a dict at lines {dedups}"
+
+
+def test_the_forward_sorts_no_sentence_alone():
+    sorts = [node.lineno for node in ast.walk(_function("encoder", "encode_batch"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted"]
+    assert not sorts, f"encoder.encode_batch calls sorted() at lines {sorts}"
+
+
+@pytest.mark.parametrize("function", ["mine_negatives", "_mine"])
+def test_mining_builds_no_set_per_example(function):
+    sets = [node.lineno for node in ast.walk(_function("trainer", function))
+            if isinstance(node, (ast.Set, ast.SetComp))
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) in SET_CALLS
+            or isinstance(node, ast.Attribute) and node.attr == "keys"]
+    assert not sets, f"trainer.{function} builds sets at lines {sets}"
 
 
 def _calls(module: str) -> list[tuple[str | None, ast.Call]]:

@@ -303,6 +303,55 @@ class TestTrain:
         ]
 
 
+class TestStepClockContract:
+    """The benchmark times a train() step from one total_loss call to the
+    next and divides by the call's len(batch.examples): train() must call
+    total_loss through its module binding once per optimizer step, with the
+    examples that step uses."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        events = []
+
+        def record(kind, fn, count):
+            def wrapper(*args):
+                out = fn(*args)
+                events.append((kind, count(args, out)))
+                return out
+            return wrapper
+
+        loss = matchlab.trainer.total_loss
+        monkeypatch.setattr(matchlab.trainer, "total_loss", lambda theta, theta0, batch, config: (
+            events.append(("loss", len(batch.examples))) or loss(theta, theta0, batch, config)))
+        monkeypatch.setattr(_SparseAdam, "step", record("step", _SparseAdam.step,
+                                                        lambda args, out: None))
+        monkeypatch.setattr(matchlab.trainer, "_mine", record(
+            "mine", matchlab.trainer._mine, lambda args, out: int(np.count_nonzero(out >= 0))))
+        return events
+
+    @pytest.mark.parametrize("loss_kind, kind", [("contrastive", "itvreg"),
+                                                 ("contrastive", "itvaug"),
+                                                 ("mse", "simcse")])
+    def test_one_total_loss_call_per_optimizer_step(self, events, loss_kind, kind):
+        corpus, _, theta_init, theta0 = _tiny_setup()
+        cfg = TrainConfig(loss_kind=loss_kind, epochs=3, batch_size=5, learning_rate=0.01,
+                          seed=2, regularizer=RegularizerConfig(kind=kind))
+        run = train(corpus, theta_init, theta0, cfg)
+        steps = [e for e in events if e[0] != "mine"]
+        assert [k for k, _ in steps] == ["loss", "step"] * (len(steps) // 2)
+        lengths = [n for k, n in steps if k == "loss"]
+        if loss_kind == "mse":  # every pair, in batches of 5, each epoch
+            n = len(corpus.pairs)
+            assert lengths == cfg.epochs * ([5] * (n // 5) + [n % 5] * (n % 5 > 0))
+        else:  # each mined batch's examples that found a negative
+            mined = [n for k, n in events if k == "mine"]
+            assert lengths == [n for n in mined if n]
+            anchors = sum(1 for items in corpus.relevant_by_query().values() if items)
+            assert sum(lengths) == cfg.epochs * anchors - run.skipped["no_negative"] \
+                - run.skipped["short_batch"]
+        assert run.skipped["degenerate"] == 0
+
+
 class TestCheckpoint:
     def test_round_trip_quantizes_once(self, tmp_path):
         model = random_model(5, 4, np.random.default_rng(0))
