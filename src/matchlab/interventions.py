@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,33 +48,22 @@ def mask_fraction(sentence: Sentence, fraction: float, seed: int) -> Sentence:
     at least one token is removed and at least one survives: the positions
     whose ``counter_hash(seed, position)`` is lowest, ties toward the earlier
     position. A negative seed raises ValueError; a seed of 2**64 or more
-    masks as its low 64 bits do."""
+    masks as its low 64 bits do. The one-row :func:`mask_rows`."""
     n = len(sentence)
     if n < 2:
         raise InterventionError(f"cannot mask a sentence of length {n}")
-    return mask_fractions([sentence], fraction, [seed])[0]
-
-
-def mask_fractions(
-    sentences: Sequence[Sentence], fraction: float, seeds: Sequence[int]
-) -> list[Sentence | None]:
-    """``mask_fraction(sentences[i], fraction, seeds[i])`` for every i, in one
-    pass over a padded matrix of position hashes, with None for a sentence
-    too short to mask."""
-    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    dropped = _dropped(lengths, fraction, seeds)
-    real = np.arange(dropped.shape[1]) < lengths[:, None]
-    return [tuple(compress(s, keep)) if len(s) >= 2 else None
-            for s, keep in zip(sentences, (real & ~dropped).tolist())]
+    return mask_rows(SentenceTable.of([sentence]), np.zeros(1, dtype=np.intp), fraction,
+                     [seed])[0]
 
 
 def mask_rows(
-    table: SentenceTable, rows: np.ndarray, fraction: float, seeds: np.ndarray
+    table: SentenceTable, rows: np.ndarray, fraction: float, seeds: Sequence[int]
 ) -> SentenceTable:
-    """The sentences ``mask_fractions`` makes of rows ``rows`` of ``table``
-    under ``seeds``, as a table: each row is its source row with the dropped
-    slots removed, so its ids stay ascending, and its positions count only
-    the kept tokens. Every source row must be long enough to mask."""
+    """Rows ``rows`` of ``table``, row i masked under ``seeds[i]`` by the rule
+    of :func:`mask_fraction`, as a table: each row is its source row with
+    the dropped slots removed, so its ids stay ascending, and its positions
+    count only the kept tokens. Every source row must be long enough to
+    mask."""
     lengths = table.lengths.take(rows)
     dropped = _dropped(lengths, fraction, seeds, table.ids.shape[1])
     positions = table.positions.take(rows, axis=0)
@@ -96,14 +84,14 @@ def mask_rows(
 
 
 def _dropped(lengths: np.ndarray, fraction: float, seeds: Sequence[int],
-             width: int | None = None) -> np.ndarray:
-    """Which positions of sentences of ``lengths`` the masks seeded by
-    ``seeds`` drop, by position: round(fraction * length) of them (half
+             width: int) -> np.ndarray:
+    """Which of ``width`` positions of sentences of ``lengths`` the masks
+    seeded by ``seeds`` drop: round(fraction * length) of them (half
     rounds up), clamped so at least one is dropped and one survives, those
     whose ``counter_hash(word, position)`` is lowest, ties toward the earlier
     position; none of a sentence too short to mask. Padding hashes as the
     largest word and comes after every position, so a stable sort ranks each
-    row's positions as ``mask_fraction`` does alone."""
+    row's positions as it would with no padding."""
     if not (0.0 < fraction < 1.0):
         raise InterventionError(f"fraction must be in (0, 1), got {fraction}")
     if len(seeds) != len(lengths):
@@ -111,7 +99,6 @@ def _dropped(lengths: np.ndarray, fraction: float, seeds: Sequence[int],
     words = seed_words(seeds)
     k = np.floor(fraction * lengths + 0.5).astype(np.intp)
     k = np.minimum(np.maximum(k, 1), lengths - 1)
-    width = int(lengths.max(initial=0)) if width is None else width
     keys = counter_hash(words[:, None], np.arange(width))
     keys[np.arange(width) >= lengths[:, None]] = np.iinfo(np.uint64).max
     dropped = np.empty(keys.shape, dtype=bool)

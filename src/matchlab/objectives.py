@@ -15,11 +15,11 @@ Penalty menu (theta0 is the frozen base model, X' an intervened view of X):
 
 Every objective is a term under one of three rules, hinge, the residual
 (cos(a, b) - target)^2 (itvreg's target is the base cosine) and outreg, and
-one batched kernel evaluates all terms of a loss: it encodes each distinct
-view once and runs one backward. A batch's views are rows of a sentence
-table (``encoder.SentenceTable``): a plain view is its sentence's row, a
-masked view its row with the hash-dropped slots removed, and a dropout view
-its row with a seed.
+one batched kernel evaluates all terms of a loss: it encodes each view once
+and runs one backward. A batch's views are rows of a sentence table
+(``encoder.SentenceTable``): a plain view is its sentence's row, a masked
+view its row with the hash-dropped slots removed, and a dropout view its
+row with a seed.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from itertools import chain, groupby
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ from .encoder import (
     row_dots,
     seed_words,
 )
-from .interventions import mask_fractions, mask_rows
+from .interventions import mask_rows
 
 logger = logging.getLogger(__name__)
 
@@ -143,20 +142,6 @@ class AugmentedPair:
             raise ValueError(f"target {self.target} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class ContrastiveExample:
-    x: Sentence
-    z_pos: Sentence
-    z_neg: Sentence
-
-
-@dataclass(frozen=True)
-class ScoredExample:
-    x: Sentence
-    z: Sentence
-    relevance: float
-
-
 @dataclass(frozen=True, eq=False)
 class TableExamples:
     """Examples as rows of a sentence table: contrastive examples, with
@@ -173,12 +158,12 @@ class TableExamples:
 
 @dataclass
 class Batch:
-    """A batch's examples and, for itvaug, its augmented pairs: lists of
-    example objects, or ``TableExamples`` over one table."""
+    """A batch's examples and, for itvaug, its augmented pairs, as rows of one
+    sentence table."""
 
-    examples: list | TableExamples
+    examples: TableExamples
     seed: int
-    augmented: list[AugmentedPair] | TableExamples = field(default_factory=list)
+    augmented: TableExamples | None = None
 
 
 class _Terms(NamedTuple):
@@ -217,25 +202,25 @@ def _kernel(
     theta: EmbeddingModel,
     theta0: EmbeddingModel | None,
     views: Sequence[Sentence] | SentenceTable,
-    fits: list[_Terms],
+    fit: _Terms,
     penalties: list[_Terms],
     lam: float,
     skipped: int = 0,
     rates: Sequence[float] | None = None,
     seeds: Sequence[int] | None = None,
 ) -> LossValue:
-    """The mean of the fitting terms plus lam times the mean of the penalty
-    terms, over the distinct ``views`` with their dropout ``rates`` and
-    ``seeds``. Each view is encoded once by theta and, when a term reads the
-    base model, once by theta0 (anchor rows follow the view rows); a part
-    is one (terms x views) row matrix, and one backward runs for all terms.
-    A term with a view that does not encode is dropped: a penalty term is
-    counted as skipped, a fitting term only when its views are degenerate
-    (an empty sentence or a bad id raises), and DegenerateNormError is
-    raised when no fitting term remains. Each view's upstream row carries
-    its term's weight, 1/n_fit or lam/n_pen, and the backward adds the
-    views' gradients in term order."""
-    parts = fits + [p for p in penalties if len(p.views)]
+    """The mean of the ``fit`` terms plus lam times the mean of the penalty
+    terms, over the ``views`` with their dropout ``rates`` and ``seeds``.
+    Each view is encoded once by theta and, when a term reads the base
+    model, once by theta0 (anchor rows follow the view rows); a part is one
+    (terms x views) row matrix, and one backward runs for all terms. A term
+    with a view that does not encode is dropped: a penalty term is counted
+    as skipped, a fitting term only when its views are degenerate (an empty
+    sentence or a bad id raises), and DegenerateNormError is raised when no
+    fitting term remains. Each view's upstream row carries its term's
+    weight, 1/n_fit or lam/n_pen, and the backward adds the views' gradients
+    in term order."""
+    parts = [fit] + [p for p in penalties if len(p.views)]
     enc = encode_batch(theta, views, rates, seeds)
     emb, good = enc.embeddings, enc.ok
     rows = [p.views for p in parts]
@@ -249,13 +234,13 @@ def _kernel(
     n_terms = list(map(len, rows))
     if not good.all():  # drop each term with a view that does not encode
         ok = [np.logical_and.reduce(good[r], axis=1) for r in rows]
-        for row in np.concatenate([r[~k].ravel() for r, k in zip(rows[:len(fits)], ok)]):
+        for row in rows[0][~ok[0]].ravel():
             exc = encode_error(theta, tuple(views[row]), enc.norms[row])
             if not isinstance(exc, DegenerateNormError):  # an empty sentence or a bad id
                 raise exc
         rows = [r[k] for r, k in zip(rows, ok)]
         targets = [t if t is None else t[k] for t, k in zip(targets, ok)]
-    n_fit, n_pen = sum(map(len, rows[:len(fits)])), sum(map(len, rows[len(fits):]))
+    n_fit, n_pen = len(rows[0]), sum(map(len, rows[1:]))
     if not n_fit:
         raise DegenerateNormError("every example of the batch has a degenerate view")
 
@@ -268,16 +253,16 @@ def _kernel(
             if np.count_nonzero(live) < len(live):
                 val, up, r = val[live], up[live], r[live]
         for x in val.tolist():
-            means[i >= len(fits)] += x
+            means[i > 0] += x
         if len(r):
             uses.append(r[:, :up.shape[1]].ravel())
-            upstream.append((up * weights[i >= len(fits)]).reshape(-1, theta.dim))
+            upstream.append((up * weights[i > 0]).reshape(-1, theta.dim))
     erm, penalty = means[0] / n_fit, means[1] / n_pen if n_pen else 0.0
     if len(uses) > 1:  # one part's arrays go as they are: concatenating one only copies it
         uses, upstream = [np.concatenate(uses)], [np.concatenate(upstream)]
     gradient = SparseGradient(*encode_batch_backward(enc, uses[0], upstream[0]) if uses else
                               (np.zeros(0, dtype=np.intp), np.zeros((0, theta.dim))))
-    n_fits, n_pens = sum(n_terms[:len(fits)]), sum(n_terms[len(fits):])
+    n_fits, n_pens = n_terms[0], sum(n_terms[1:])
     return LossValue(erm, penalty, erm + lam * penalty, gradient, n_penalty_terms=n_pen,
                      n_skipped_penalty=skipped + n_pens - n_pen,
                      n_skipped_examples=n_fits - n_fit)
@@ -287,20 +272,6 @@ def _check_targets(targets: np.ndarray) -> None:
     bad = targets[~((targets >= -1.0 - 1e-9) & (targets <= 1.0 + 1e-9))]
     if len(bad):
         raise ValueError(f"target {bad[0]} outside [-1, 1]")
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of an integer matrix that first show each distinct row
-    content, and each row's index among them."""
-    keys = np.ascontiguousarray(keys)
-    whole = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
-
-
-def _sentence_keys(table: SentenceTable) -> np.ndarray:
-    # Equal keys are equal sentences, token order included.
-    return np.column_stack((table.lengths, table.ids, table.positions))
 
 
 def _distinct_rows(keys: list[np.ndarray], n: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -314,49 +285,18 @@ def _distinct_rows(keys: list[np.ndarray], n: int) -> tuple[np.ndarray, list[np.
     return rows, [at.take(k) for k in keys]
 
 
-def _table_terms(examples: list, augmented: list) -> tuple[SentenceTable, list[_Terms],
-                                                            _Terms | None]:
-    """Example and augmented-pair objects as terms over one table of their
-    distinct sentences: one fitting part per run of one kind, and the
-    augmented pairs' residual part."""
-    sentences, fits = [], []
-
-    def rows(views: list) -> np.ndarray:
-        at = len(sentences)
-        sentences.extend(chain.from_iterable(views))
-        return np.arange(at, len(sentences)).reshape(len(views), -1)
-
-    for kind, run in groupby(examples, type):
-        run = list(run)
-        if issubclass(kind, ContrastiveExample):
-            fits.append(_Terms("hinge", rows([(e.x, e.z_neg, e.z_pos) for e in run])))
-        elif issubclass(kind, ScoredExample):
-            fits.append(_Terms("residual", rows([(e.x, e.z) for e in run]),
-                               np.array([e.relevance for e in run])))
-        else:
-            raise TypeError(f"unsupported example type {kind.__name__}")
-    aug = None
-    if augmented:
-        aug = _Terms("residual", rows([(ap.x, ap.x_prime) for ap in augmented]),
-                     np.array([ap.target for ap in augmented]))
-    table = SentenceTable.of(sentences)
-    first, inverse = _distinct(_sentence_keys(table))
-    fits = [p._replace(views=inverse[p.views]) for p in fits]
-    return table.take(first), fits, aug and aug._replace(views=inverse[aug.views])
-
-
 def _loss(theta: EmbeddingModel, theta0: EmbeddingModel | None, table: SentenceTable,
-          fits: list[_Terms], aug: _Terms | None, seed: int,
+          fit: _Terms, aug: _Terms | None, seed: int,
           config: RegularizerConfig) -> LossValue:
     """``total_loss`` over fitting and augmented terms whose views are rows
     of ``table``. The penalty sentences are each example's x, then its z+
     (contrastive) or z. Each view is encoded once: plain views once per
-    row, then the masked views, made one per penalty sentence and kept once
-    per sentence they make, or the dropout views, one per penalty sentence
-    and draw, whose seeds hash their own coordinates and so differ."""
-    for p in fits:
-        if p.targets is not None:
-            _check_targets(p.targets)
+    row, then the masked views, one per penalty sentence (two equal ones
+    encode to the same bytes, so they are not merged), or the dropout views,
+    one per penalty sentence and draw, whose seeds hash their own
+    coordinates and so differ."""
+    if fit.targets is not None:
+        _check_targets(fit.targets)
     kind, skipped = config.kind, 0
     # The penalty's terms: plain views first (rows of table), then views
     # that follow the plain ones (masked or dropout).
@@ -365,8 +305,7 @@ def _loss(theta: EmbeddingModel, theta0: EmbeddingModel | None, table: SentenceT
     if kind == "itvaug" and aug is not None:
         pen_plain, targets = aug.views, aug.targets
     elif kind not in ("none", "itvaug"):
-        xs = np.concatenate([p.views[:, [0, 2] if p.rule == "hinge" else [0, 1]].ravel()
-                             for p in fits])
+        xs = fit.views[:, [0, 2] if fit.rule == "hinge" else [0, 1]].ravel()
         # seeds[i, draw] is intervention_seed(seed, i, draw), one hash for all.
         seeds = counter_hash(seed_words([seed]), np.arange(len(xs))[:, None],
                              np.arange(2 if kind == "simcse" else 1))
@@ -382,12 +321,10 @@ def _loss(theta: EmbeddingModel, theta0: EmbeddingModel | None, table: SentenceT
             skipped = len(xs) - len(at)
             masked = mask_rows(table, xs.take(at), config.resolved_mask_fraction,
                                seeds[:, 0].take(at))
-            first, inverse = _distinct(_sentence_keys(masked))
-            masked = masked.take(first)
-            pen_plain, pen_after = xs.take(at)[:, None], inverse[:, None]
-    plain = [p.views for p in fits] + ([] if pen_plain is None else [pen_plain])
+            pen_plain, pen_after = xs.take(at)[:, None], np.arange(len(at))[:, None]
+    plain = [fit.views] + ([] if pen_plain is None else [pen_plain])
     rows, plain = _distinct_rows(plain, len(table))
-    fits = [p._replace(views=v) for p, v in zip(fits, plain)]
+    fit = fit._replace(views=plain[0])
     penalties = []
     if pen_plain is not None or pen_after is not None:
         cols = [plain[-1]] if pen_plain is not None else []
@@ -405,14 +342,14 @@ def _loss(theta: EmbeddingModel, theta0: EmbeddingModel | None, table: SentenceT
         views = SentenceTable.concat([table.take(rows), masked])
     else:
         views = table.take(rows)
-    return _kernel(theta, theta0, views, fits, penalties, config.lam, skipped, rates, seeds)
+    return _kernel(theta, theta0, views, fit, penalties, config.lam, skipped, rates, seeds)
 
 
 def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, views: list,
            rule: str, rates=None, seeds=None) -> LossValue:
     # One penalty term over its views, reported as a penalty of weight 1; a
     # bad view raises.
-    lv = _kernel(theta, theta0, views, [_Terms(rule, _ONE_TERM[len(views)])], [], 0.0,
+    lv = _kernel(theta, theta0, views, _Terms(rule, _ONE_TERM[len(views)]), [], 0.0,
                  rates=rates, seeds=seeds)
     return LossValue(0.0, lv.erm, lv.total, lv.gradient)
 
@@ -421,7 +358,7 @@ def contrastive_loss(
     theta: EmbeddingModel, x: Sentence, z_pos: Sentence, z_neg: Sentence
 ) -> LossValue:
     """Hinge max(0, 1 + f(X)^T f(Z-) - f(X)^T f(Z+)); subgradient 0 at the kink."""
-    return _kernel(theta, None, [x, z_neg, z_pos], [_Terms("hinge", _ONE_TERM[3])], [], 0.0)
+    return _kernel(theta, None, [x, z_neg, z_pos], _Terms("hinge", _ONE_TERM[3]), [], 0.0)
 
 
 def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> LossValue:
@@ -432,7 +369,7 @@ def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> 
     """
     if not -1.0 - 1e-9 <= target <= 1.0 + 1e-9:
         raise ValueError(f"target {target} outside [-1, 1]")
-    return _kernel(theta, None, [x, z], [_Terms("residual", _ONE_TERM[2], np.array([target]))],
+    return _kernel(theta, None, [x, z], _Terms("residual", _ONE_TERM[2], np.array([target])),
                    [], 0.0)
 
 
@@ -489,14 +426,15 @@ def build_itvaug(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(qids))
     take = int(math.floor(fraction * len(qids)))
-    sents = [theta0.vocab.encode(corpus.queries[qids[idx]]) for idx in order[:take]]
-    mask_seeds = [int(rng.integers(np.iinfo(np.int64).max)) for _ in sents]
-    masked = [(x, x_prime) for x, x_prime
-              in zip(sents, mask_fractions(sents, mask_frac, mask_seeds)) if x_prime is not None]
-    enc = encode_batch(theta0, [x for x, _ in masked] + [x_prime for _, x_prime in masked])
+    queries = SentenceTable.of([theta0.vocab.encode(corpus.queries[qids[idx]])
+                                for idx in order[:take]])
+    mask_seeds = seed_words([int(rng.integers(np.iinfo(np.int64).max)) for _ in range(take)])
+    long = (queries.lengths >= 2).nonzero()[0]
+    masked = mask_rows(queries, long, mask_frac, mask_seeds.take(long))
+    enc = encode_batch(theta0, SentenceTable.concat([queries.take(long), masked]))
     (a, b), (a_ok, b_ok) = np.split(enc.embeddings, 2), np.split(enc.ok, 2)
-    pairs = [AugmentedPair(x, x_prime, float(target)) for (x, x_prime), target, ok
-             in zip(masked, row_dots(a, b), a_ok & b_ok) if ok]
+    pairs = [AugmentedPair(queries[i], masked[j], float(target)) for j, (i, target, ok)
+             in enumerate(zip(long.tolist(), row_dots(a, b), a_ok & b_ok)) if ok]
     skipped = take - len(pairs)
     if skipped:
         logger.warning("build_itvaug skipped %d of %d selected queries", skipped, take)
@@ -518,21 +456,17 @@ def total_loss(
     and counted, never zero-filled; so are examples whose fitting loss meets a
     degenerate view, and the fitting mean runs over the examples that remain.
     Raises DegenerateNormError only when no example remains. The examples
-    and augmented pairs come as objects or as ``TableExamples`` over one
-    table; both give the same result.
+    and augmented pairs are rows of one sentence table.
     """
     if not batch.examples:
         raise ValueError("batch must contain at least one example")
     if config.kind in ("outreg", "itvreg") and theta0 is None:
         raise ValueError(f"{config.kind} requires a base model")
 
-    examples, augmented = batch.examples, batch.augmented if config.kind == "itvaug" else []
-    if isinstance(examples, TableExamples):
-        if augmented and getattr(augmented, "table", None) is not examples.table:
-            raise TypeError("augmented pairs of table examples must be rows of their table")
-        fits = [_Terms("hinge" if examples.targets is None else "residual", examples.rows,
-                       examples.targets)]
-        aug = _Terms("residual", augmented.rows, augmented.targets) if augmented else None
-        return _loss(theta, theta0, examples.table, fits, aug, batch.seed, config)
-    table, fits, aug = _table_terms(examples, augmented)
-    return _loss(theta, theta0, table, fits, aug, batch.seed, config)
+    examples, augmented = batch.examples, batch.augmented if config.kind == "itvaug" else None
+    if augmented and augmented.table is not examples.table:
+        raise TypeError("augmented pairs of table examples must be rows of their table")
+    fit = _Terms("hinge" if examples.targets is None else "residual", examples.rows,
+                 examples.targets)
+    aug = _Terms("residual", augmented.rows, augmented.targets) if augmented else None
+    return _loss(theta, theta0, examples.table, fit, aug, batch.seed, config)

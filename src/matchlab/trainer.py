@@ -11,11 +11,10 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, Vocab, write_table
+from .corpus import Corpus, Vocab, write_table
 from .encoder import (
     DegenerateNormError,
     EmbeddingModel,
@@ -81,48 +80,7 @@ class TrainRun:
     skipped: dict[str, int]
 
 
-@dataclass(frozen=True)
-class MiningExample:
-    query_id: str
-    x: Sentence
-    item_id: str
-    z_pos: Sentence
-
-
 def mine_negatives(
-    theta: EmbeddingModel,
-    batch: Sequence[MiningExample],
-    relevant: Mapping[str, AbstractSet[str]],
-    strategy: str = "in-batch-hardest",
-    seed: int = 0,
-) -> list[tuple[str, Sentence] | None]:
-    """Pick an in-batch negative item for each example.
-
-    Candidates are the other examples' positive items that are not
-    ground-truth-relevant to the query. 'in-batch-hardest' takes the
-    highest-similarity candidate under the current theta (ties toward the
-    smaller item id); 'in-batch-random' draws uniformly. Examples with no
-    valid candidate get None.
-    """
-    if strategy not in NEGATIVE_STRATEGIES:
-        raise ValueError(f"unknown negative strategy {strategy!r}")
-    if len(batch) < 2:
-        raise ValueError("in-batch mining needs at least 2 examples")
-    n = len(batch)
-    col = {iid: c for c, iid in enumerate(sorted(dict.fromkeys(ex.item_id for ex in batch)))}
-    # relevance[i, c]: item c is relevant to example i's query
-    hits = [(i, col[iid]) for i, ex in enumerate(batch)
-            for iid in relevant.get(ex.query_id, ()) if iid in col]
-    relevance = np.zeros((n, len(col)), dtype=bool)
-    relevance[tuple(np.array(hits, dtype=np.intp).reshape(-1, 2).T)] = True
-    table = SentenceTable.of([ex.x for ex in batch] + [ex.z_pos for ex in batch])
-    items = np.array([col[ex.item_id] for ex in batch], dtype=np.intp)
-    neg = _mine(theta, table, np.arange(n), np.arange(n, 2 * n), np.arange(n), items,
-                relevance, strategy, seed)
-    return [(batch[j].item_id, batch[j].z_pos) if j >= 0 else None for j in neg.tolist()]
-
-
-def _mine(
     theta: EmbeddingModel,
     table: SentenceTable,
     x_rows: np.ndarray,
@@ -133,13 +91,23 @@ def _mine(
     strategy: str,
     seed: int,
 ) -> np.ndarray:
-    """``mine_negatives`` over index arrays: example i's query and positive
-    are rows ``x_rows[i]`` and ``z_rows[i]`` of ``table``, its query is
-    ``queries[i]`` and its item ``items[i]``, and ``relevant[query, item]``
-    marks ground truth; items are numbered in id order. Returns, for each
+    """Pick an in-batch negative item for each example.
+
+    Example i's query sentence and positive are rows ``x_rows[i]`` and
+    ``z_rows[i]`` of ``table``, its query is ``queries[i]`` and its item
+    ``items[i]``, and ``relevant[query, item]`` marks ground truth; items
+    are numbered in id order. Candidates are the other examples' positive
+    items that are not relevant to the query. 'in-batch-hardest' takes the
+    highest-similarity candidate under the current theta (ties toward the
+    smaller item id); 'in-batch-random' draws uniformly. Returns, for each
     example, the example whose positive is its negative (that item's first
-    encodable occurrence), or -1 for none."""
+    encodable occurrence), or -1 when it has no valid candidate.
+    """
+    if strategy not in NEGATIVE_STRATEGIES:
+        raise ValueError(f"unknown negative strategy {strategy!r}")
     n = len(x_rows)
+    if n < 2:
+        raise ValueError("in-batch mining needs at least 2 examples")
     enc = encode_batch(theta, table.take(np.concatenate((x_rows, z_rows))))
     q, z = enc.embeddings[:n], enc.embeddings[n:]
     at = enc.ok[n:].nonzero()[0]
@@ -178,11 +146,9 @@ class _SparseAdam:
         self.t: np.ndarray | None = None  # per-row update count
         self.corr = np.zeros((0, 2))  # row k: 1 - beta1**k, 1 - beta2**k
 
-    def step(self, table: np.ndarray, grads: Mapping[int, np.ndarray]) -> None:
+    def step(self, table: np.ndarray, grads: SparseGradient) -> None:
         if not len(grads):
             return
-        if not isinstance(grads, SparseGradient):
-            grads = SparseGradient.of(grads)
         if self.m is None:
             self.m, self.v = np.zeros_like(table), np.zeros_like(table)
             self.t = np.zeros(len(table), dtype=np.int64)
@@ -298,8 +264,8 @@ def train(
 
                 if config.loss_kind == "contrastive":
                     x, z = anchors[batch_order], positives[batch_order]
-                    neg = _mine(theta, table, x, n_q + z, x, z, relevant,
-                                config.negative_strategy, mining_seed)
+                    neg = mine_negatives(theta, table, x, n_q + z, x, z, relevant,
+                                         config.negative_strategy, mining_seed)
                     has = neg >= 0
                     skipped["no_negative"] += len(has) - int(np.count_nonzero(has))
                     examples = TableExamples(
@@ -311,7 +277,7 @@ def train(
                 if not len(examples):
                     continue
                 aug = (TableExamples(table, aug_rows[aug_slices[b_idx]],
-                                     aug_targets[aug_slices[b_idx]]) if aug_slices else [])
+                                     aug_targets[aug_slices[b_idx]]) if aug_slices else None)
                 try:
                     lv = total_loss(theta, theta0, Batch(examples, batch_seed, aug),
                                     config.regularizer)

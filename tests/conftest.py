@@ -1,5 +1,5 @@
-"""Shared fixtures: tiny hand-built models, a finite-difference oracle and a
-forward-pass counter."""
+"""Shared fixtures: tiny hand-built models, a finite-difference oracle, a
+forward-pass counter and a batch builder over sentence tuples."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import matchlab.encoder
-from matchlab import EmbeddingModel, Vocab
+from matchlab import Batch, EmbeddingModel, SentenceTable, TableExamples, Vocab
 
 
 def make_vocab(n_tokens: int) -> Vocab:
@@ -100,3 +100,24 @@ def encode_calls(monkeypatch):
                 if callable(obj) and obj in originals:
                     monkeypatch.setattr(mod, attr, counting(obj, originals[obj]))
     return calls
+
+
+def table_batch(examples, seed: int = 0, augmented=None) -> Batch:
+    """A Batch whose examples and augmented pairs are rows of one table of
+    their distinct sentences, first seen first. Examples are contrastive
+    (x, z_pos, z_neg) or scored (x, z, relevance) triples; augmented pairs
+    are (x, x_prime, target) triples."""
+    row: dict[tuple, int] = {}
+
+    def part(views, width, targets=None):
+        rows = [[row.setdefault(tuple(s), len(row)) for s in v] for v in views]
+        return np.array(rows, dtype=np.intp).reshape(len(views), width), targets
+
+    if all(isinstance(ex[2], tuple) for ex in examples):  # rows (x, z_neg, z_pos)
+        ex = part([(x, z_neg, z_pos) for x, z_pos, z_neg in examples], 3)
+    else:
+        ex = part([(x, z) for x, z, _ in examples], 2, np.array([r for *_, r in examples]))
+    aug = None if augmented is None else part([(x, xp) for x, xp, _ in augmented], 2,
+                                              np.array([t for *_, t in augmented], dtype=float))
+    table = SentenceTable.of(list(row))
+    return Batch(TableExamples(table, *ex), seed, aug and TableExamples(table, *aug))

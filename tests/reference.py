@@ -9,7 +9,8 @@ backward to them byte for byte: one use gives the per-sentence rows in the
 per-sentence key order, as the package's one-row ``encode_backward`` must.
 ``SparseAdam`` and ``mine_negatives`` are the optimizer and the miner as
 they were before they worked on whole arrays: Adam one touched row at a
-time with per-row moment dicts, and mining one example at a time over its
+time with per-row moment dicts, and mining one example at a time (a
+``MiningExample``: query id and sentence, item id and sentence) over its
 id-sorted candidates. The property tests hold the trainer's array versions
 to them byte for byte. ``evaluate`` is the evaluation as it was before it
 worked on arrays: one query at a time, with sets of relevant ids, a keyed
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +37,6 @@ from matchlab import (
     EncodeResult,
     EvalError,
     EvalReport,
-    MiningExample,
     Sentence,
     auc_partial,
     encode_batch,
@@ -120,6 +121,14 @@ class SparseAdam:
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             table[tok] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+@dataclass(frozen=True)
+class MiningExample:
+    query_id: str
+    x: Sentence
+    item_id: str
+    z_pos: Sentence
 
 
 def mine_negatives(theta, batch: Sequence[MiningExample],

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from matchlab import (
-    Batch,
-    ContrastiveExample,
     Corpus,
     DegenerateNormError,
     EmbeddingModel,
@@ -35,7 +33,8 @@ from matchlab import (
 
 from matchlab.encoder import encode_batch_backward, sum_rows
 
-from conftest import fd_gradient, grad_rel_error, make_vocab, model_from_rows, random_model
+from conftest import (fd_gradient, grad_rel_error, make_vocab, model_from_rows, random_model,
+                      table_batch)
 
 INV_SQRT2 = 0.7071067811865475  # 1/sqrt(2)
 
@@ -377,7 +376,7 @@ class TestOneFailureRule:
         # A view's sentence is a tuple; a degenerate example is skipped, and a
         # batch left with none raises.
         model = model_from_rows(FAILING_ROWS)
-        batch = Batch([ContrastiveExample(sentence, (3,), (1,))], seed=0)
+        batch = table_batch([(sentence, (3,), (1,))])
         if error is DegenerateNormError:
             message = "every example of the batch has a degenerate view"
         message = message.replace("[3, 9]", "(3, 9)")

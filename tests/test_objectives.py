@@ -12,14 +12,10 @@ import pytest
 import matchlab.encoder
 import matchlab.objectives
 from matchlab import (
-    AugmentedPair,
-    Batch,
     Corpus,
-    ContrastiveExample,
     DegenerateNormError,
     EncodeError,
     RegularizerConfig,
-    ScoredExample,
     build_itvaug,
     contrastive_loss,
     intervention_seed,
@@ -32,7 +28,8 @@ from matchlab import (
     total_loss,
 )
 
-from conftest import fd_gradient, grad_rel_error, model_from_rows, random_model, random_sentence
+from conftest import (fd_gradient, grad_rel_error, model_from_rows, random_model,
+                      random_sentence, table_batch)
 
 S32 = math.sqrt(3.0) / 2.0
 
@@ -308,14 +305,11 @@ class TestBuildItvaug:
             assert via_aug.total == pytest.approx(via_reg.total, abs=1e-12)
 
 
-def _scored_batch(n_tokens, rng, size, seed):
-    examples = [
-        ScoredExample(random_sentence(n_tokens, rng, min_len=3),
-                      random_sentence(n_tokens, rng, min_len=3),
-                      float(rng.uniform(0, 1)))
-        for _ in range(size)
-    ]
-    return Batch(examples=examples, seed=seed)
+def _scored_examples(n_tokens, rng, size):
+    """``size`` scored (x, z, relevance) triples."""
+    return [(random_sentence(n_tokens, rng, min_len=3), random_sentence(n_tokens, rng, min_len=3),
+             float(rng.uniform(0, 1)))
+            for _ in range(size)]
 
 
 class TestOneForwardPerView:
@@ -340,6 +334,8 @@ class TestOneForwardPerView:
 
 
 def test_total_loss_encodes_each_distinct_view_once_per_model(monkeypatch):
+    # Plain views are encoded once per distinct sentence; masked views once
+    # per penalty sentence, since two of equal content encode alike.
     theta = random_model(8, 4, np.random.default_rng(0))
     theta0 = random_model(8, 4, np.random.default_rng(1), frozen=True)
     rows = {id(theta): [], id(theta0): []}
@@ -352,24 +348,23 @@ def test_total_loss_encodes_each_distinct_view_once_per_model(monkeypatch):
     monkeypatch.setattr(matchlab.objectives, "encode_batch", counting)
     # x1 and z1 recur across examples; each z_neg is another example's z_pos
     x1, x2, z1, z2, z3 = (1, 2, 3), (4, 5), (6, 7, 8), (2, 6), (3, 5, 7)
-    batch = Batch([ContrastiveExample(x1, z1, z2), ContrastiveExample(x2, z2, z1),
-                   ContrastiveExample(x1, z3, z1)], seed=3)
+    examples = [(x1, z1, z2), (x2, z2, z1), (x1, z3, z1)]
+    batch = table_batch(examples, seed=3)
     total_loss(theta, theta0, batch, RegularizerConfig(kind="itvreg"))
-    sentences = [s for ex in batch.examples for s in (ex.x, ex.z_pos)]
-    masked = {mask_fraction(s, 0.5, intervention_seed(batch.seed, i))
-              for i, s in enumerate(sentences)}
-    assert sorted(rows[id(theta)]) == sorted({x1, x2, z1, z2, z3} | masked)
-    assert sorted(rows[id(theta0)]) == sorted(set(sentences) | masked)
+    sentences = [s for x, z_pos, _ in examples for s in (x, z_pos)]
+    masked = [mask_fraction(s, 0.5, intervention_seed(batch.seed, i))
+              for i, s in enumerate(sentences)]
+    assert sorted(rows[id(theta)]) == sorted([x1, x2, z1, z2, z3] + masked)
+    assert sorted(rows[id(theta0)]) == sorted(list(set(sentences)) + masked)
 
 
 class TestTotalLoss:
     def test_erm_is_the_example_mean(self):
         model = random_model(8, 4, np.random.default_rng(0))
         rng = np.random.default_rng(51)
-        batch = _scored_batch(8, rng, 4, seed=0)
-        lv = total_loss(model, None, batch, RegularizerConfig(kind="none"))
-        singles = [mse_loss(model, ex.x, ex.z, ex.relevance).total
-                   for ex in batch.examples]
+        examples = _scored_examples(8, rng, 4)
+        lv = total_loss(model, None, table_batch(examples), RegularizerConfig(kind="none"))
+        singles = [mse_loss(model, x, z, relevance).total for x, z, relevance in examples]
         assert lv.erm == pytest.approx(np.mean(singles), abs=1e-12)
         assert lv.penalty == 0.0
         assert lv.total == pytest.approx(lv.erm, abs=1e-15)
@@ -378,7 +373,7 @@ class TestTotalLoss:
         theta = random_model(8, 4, np.random.default_rng(1))
         theta0 = random_model(8, 4, np.random.default_rng(2), frozen=True)
         rng = np.random.default_rng(53)
-        batch = _scored_batch(8, rng, 3, seed=11)
+        batch = table_batch(_scored_examples(8, rng, 3), seed=11)
         cfg = RegularizerConfig(kind="outreg", lam=0.7)
         lv = total_loss(theta, theta0, batch, cfg)
         assert lv.total == pytest.approx(lv.erm + 0.7 * lv.penalty, abs=1e-12)
@@ -391,14 +386,15 @@ class TestTotalLoss:
         theta = random_model(8, 4, np.random.default_rng(3))
         theta0 = random_model(8, 4, np.random.default_rng(4), frozen=True)
         rng = np.random.default_rng(55)
-        batch = _scored_batch(8, rng, 3, seed=77)
+        examples = _scored_examples(8, rng, 3)
+        batch = table_batch(examples, seed=77)
         cfg = RegularizerConfig(kind="itvreg", lam=0.1)
         lv = total_loss(theta, theta0, batch, cfg)
 
         expected = []
         flat = 0
-        for ex in batch.examples:
-            for sent in (ex.x, ex.z):
+        for x, z, _ in examples:
+            for sent in (x, z):
                 xp = mask_fraction(sent, 0.5, intervention_seed(batch.seed, flat, 0))
                 expected.append(itvreg_penalty(theta, theta0, sent, xp).total)
                 flat += 1
@@ -411,9 +407,10 @@ class TestTotalLoss:
         # Python 3.12 and later would round differently.
         theta = random_model(8, 4, np.random.default_rng(7))
         theta0 = random_model(8, 4, np.random.default_rng(8), frozen=True)
-        batch = _scored_batch(8, np.random.default_rng(57), 24, seed=79)
+        examples = _scored_examples(8, np.random.default_rng(57), 24)
+        batch = table_batch(examples, seed=79)
         lv = total_loss(theta, theta0, batch, RegularizerConfig(kind="itvreg"))
-        sentences = [s for ex in batch.examples for s in (ex.x, ex.z)]
+        sentences = [s for x, z, _ in examples for s in (x, z)]
         in_order = 0.0
         for flat, sent in enumerate(sentences):
             xp = mask_fraction(sent, 0.5, intervention_seed(batch.seed, flat))
@@ -424,7 +421,7 @@ class TestTotalLoss:
     def test_short_sentences_are_skipped_not_zeroed(self):
         theta = random_model(8, 4, np.random.default_rng(5))
         theta0 = random_model(8, 4, np.random.default_rng(6), frozen=True)
-        batch = Batch(examples=[ScoredExample((1,), (2, 3, 4), 1.0)], seed=0)
+        batch = table_batch([((1,), (2, 3, 4), 1.0)])
         cfg = RegularizerConfig(kind="itvreg")
         lv = total_loss(theta, theta0, batch, cfg)
         assert lv.n_skipped_penalty == 1
@@ -433,8 +430,7 @@ class TestTotalLoss:
     def test_degenerate_example_is_skipped_alone(self):
         # t1 + t2 cancels, so the first example has no direction
         model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
-        batch = Batch(examples=[ScoredExample((1, 2), (3,), 0.5),
-                                ScoredExample((3,), (4,), 0.2)], seed=0)
+        batch = table_batch([((1, 2), (3,), 0.5), ((3,), (4,), 0.2)])
         lv = total_loss(model, None, batch, RegularizerConfig(kind="none"))
         single = mse_loss(model, (3,), (4,), 0.2)
         assert lv.n_skipped_examples == 1
@@ -445,9 +441,8 @@ class TestTotalLoss:
 
     def test_degenerate_augmented_pair_is_skipped_and_counted(self):
         model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
-        batch = Batch(examples=[ScoredExample((3,), (4,), 0.2)], seed=0,
-                      augmented=[AugmentedPair((1, 2), (1,), 0.5),
-                                 AugmentedPair((3, 4), (3,), 0.9)])
+        batch = table_batch([((3,), (4,), 0.2)],
+                            augmented=[((1, 2), (1,), 0.5), ((3, 4), (3,), 0.9)])
         lv = total_loss(model, None, batch, RegularizerConfig(kind="itvaug"))
         assert lv.n_skipped_penalty == 1
         assert lv.n_penalty_terms == 1
@@ -455,8 +450,7 @@ class TestTotalLoss:
 
     def test_every_penalty_term_skipped_leaves_the_fitting_mean(self):
         model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
-        batch = Batch(examples=[ScoredExample((3,), (4,), 0.2)], seed=0,
-                      augmented=[AugmentedPair((1, 2), (1,), 0.5)])
+        batch = table_batch([((3,), (4,), 0.2)], augmented=[((1, 2), (1,), 0.5)])
         lv = total_loss(model, None, batch, RegularizerConfig(kind="itvaug", lam=0.5))
         single = mse_loss(model, (3,), (4,), 0.2)
         assert (lv.n_penalty_terms, lv.n_skipped_penalty, lv.penalty) == (0, 1, 0.0)
@@ -468,19 +462,16 @@ class TestTotalLoss:
         # an empty sentence or a bad id is an error in the data, not a
         # degenerate view to skip, and the message is encode's
         model = random_model(8, 4, np.random.default_rng(0))
-        cases = [([ContrastiveExample((1, 2), (3, 4), (5,)),
-                   ContrastiveExample((1, 2), (), (5,))], "empty"),
-                 ([ScoredExample((1, 2), (3,), 0.5),
-                   ScoredExample((1, 99), (3,), 0.5)], "out of range")]
+        cases = [([((1, 2), (3, 4), (5,)), ((1, 2), (), (5,))], "empty"),
+                 ([((1, 2), (3,), 0.5), ((1, 99), (3,), 0.5)], "out of range")]
         for examples, message in cases:
             with pytest.raises(EncodeError, match=message) as info:
-                total_loss(model, None, Batch(examples=examples, seed=0),
-                           RegularizerConfig(kind="none"))
+                total_loss(model, None, table_batch(examples), RegularizerConfig(kind="none"))
             assert not isinstance(info.value, DegenerateNormError)
 
     def test_anchored_kinds_require_theta0(self):
         model = random_model(8, 4, np.random.default_rng(0))
-        batch = Batch(examples=[ScoredExample((1, 2), (3, 4), 1.0)], seed=0)
+        batch = table_batch([((1, 2), (3, 4), 1.0)])
         for kind in ("outreg", "itvreg"):
             with pytest.raises(ValueError):
                 total_loss(model, None, batch, RegularizerConfig(kind=kind))
@@ -488,21 +479,17 @@ class TestTotalLoss:
     def test_empty_batch_rejected(self):
         model = random_model(8, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            total_loss(model, None, Batch(examples=[], seed=0),
-                       RegularizerConfig(kind="none"))
+            total_loss(model, None, table_batch([]), RegularizerConfig(kind="none"))
 
     def test_itvaug_consumes_precomputed_pairs(self):
         theta = random_model(8, 4, np.random.default_rng(7))
         rng = np.random.default_rng(57)
-        batch = _scored_batch(8, rng, 2, seed=5)
-        batch.augmented = [
-            AugmentedPair((1, 2, 3), (1, 3), 0.9),
-            AugmentedPair((4, 5), (4,), 0.8),
-        ]
+        augmented = [((1, 2, 3), (1, 3), 0.9), ((4, 5), (4,), 0.8)]
+        batch = table_batch(_scored_examples(8, rng, 2), seed=5, augmented=augmented)
         cfg = RegularizerConfig(kind="itvaug", lam=0.1)
         lv = total_loss(theta, None, batch, cfg)
-        singles = [mse_loss(theta, ap.x, ap.x_prime, ap.target).total
-                   for ap in batch.augmented]
+        singles = [mse_loss(theta, x, x_prime, target).total
+                   for x, x_prime, target in augmented]
         assert lv.penalty == pytest.approx(np.mean(singles), abs=1e-12)
         assert lv.n_penalty_terms == 2
 
@@ -511,8 +498,8 @@ class TestTotalLoss:
         theta0 = random_model(8, 4, np.random.default_rng(9), frozen=True)
         rng1 = np.random.default_rng(59)
         rng2 = np.random.default_rng(59)
-        b1 = _scored_batch(8, rng1, 3, seed=13)
-        b2 = _scored_batch(8, rng2, 3, seed=13)
+        b1 = table_batch(_scored_examples(8, rng1, 3), seed=13)
+        b2 = table_batch(_scored_examples(8, rng2, 3), seed=13)
         cfg = RegularizerConfig(kind="itvreg")
         lv1 = total_loss(theta, theta0, b1, cfg)
         lv2 = total_loss(theta, theta0, b2, cfg)
@@ -525,12 +512,13 @@ class TestTotalLoss:
         theta = random_model(8, 5, np.random.default_rng(20))
         theta0 = random_model(8, 5, np.random.default_rng(21), frozen=True)
         rng = np.random.default_rng(61)
-        batch = _scored_batch(8, rng, 3, seed=23)
+        examples = _scored_examples(8, rng, 3)
+        batch = table_batch(examples, seed=23)
         cfg = RegularizerConfig(kind=kind, lam=0.4)
         lv = total_loss(theta, theta0, batch, cfg)
         touched = set()
-        for ex in batch.examples:
-            touched |= set(ex.x) | set(ex.z)
+        for x, z, _ in examples:
+            touched |= set(x) | set(z)
         fd = fd_gradient(lambda: total_loss(theta, theta0, batch, cfg).total,
                          model=theta, token_ids=touched)
         assert grad_rel_error(lv.gradient, fd, theta.dim) < 1e-4
@@ -538,13 +526,13 @@ class TestTotalLoss:
     def test_itvaug_gradient_matches_finite_differences(self):
         theta = random_model(8, 5, np.random.default_rng(22))
         rng = np.random.default_rng(63)
-        batch = _scored_batch(8, rng, 2, seed=29)
-        batch.augmented = [AugmentedPair((1, 2, 3), (1, 3), 0.7)]
+        examples = _scored_examples(8, rng, 2)
+        batch = table_batch(examples, seed=29, augmented=[((1, 2, 3), (1, 3), 0.7)])
         cfg = RegularizerConfig(kind="itvaug", lam=0.4)
         lv = total_loss(theta, None, batch, cfg)
         touched = {1, 2, 3}
-        for ex in batch.examples:
-            touched |= set(ex.x) | set(ex.z)
+        for x, z, _ in examples:
+            touched |= set(x) | set(z)
         fd = fd_gradient(lambda: total_loss(theta, None, batch, cfg).total,
                          model=theta, token_ids=touched)
         assert grad_rel_error(lv.gradient, fd, theta.dim) < 1e-4

@@ -1,20 +1,22 @@
 """Property tests: the batched forward against ``encode``, the batched and
 one-row backwards against the per-sentence reference in ``reference.py``,
 the array Adam and the one-matrix miner against their per-row references
-there, the training step fed from a run's sentence table against the same
-step fed sentences (losses, masked rows and mining), masking bounds, the
-hashed intervention stream (hash, batched masks and dropout keep masks)
-against its Python-integer references with two distribution checks, partial AUC against a brute-force threshold sweep,
-rankings and reports through the catalogue memo against per-item encodes,
-the top-k selection against the full stable sort, and reports through a
-built or a reused pair index against the per-query evaluate."""
+there, the training step read through any layout of its sentence table,
+the itvaug pairs against per-sentence masks and encodes, masking bounds,
+the hashed intervention stream (hash, masked rows and dropout keep masks)
+against its Python-integer references with two distribution checks,
+partial AUC against a brute-force threshold sweep, rankings and reports
+through the catalogue memo against per-item encodes, the top-k selection
+against the full stable sort, and reports through a built or a reused pair
+index against the per-query evaluate."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging.handlers
+import math
 from collections import Counter
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -24,22 +26,19 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import matchlab.evaluation  # noqa: E402
 from matchlab import (  # noqa: E402
-    AugmentedPair,
     Batch,
-    ContrastiveExample,
     Corpus,
     EmbeddingModel,
     EncodeError,
     EvalError,
     InterventionError,
-    MiningExample,
     Pair,
     REGULARIZER_KINDS,
     RegularizerConfig,
-    ScoredExample,
     SentenceTable,
     TableExamples,
     auc_partial,
+    build_itvaug,
     encode,
     encode_backward,
     encode_batch,
@@ -53,9 +52,9 @@ from matchlab import (  # noqa: E402
 )
 from matchlab.encoder import counter_hash, encode_batch_backward, seed_words  # noqa: E402
 from matchlab.evaluation import _top_k  # noqa: E402
-from matchlab.interventions import mask_fractions, mask_rows  # noqa: E402
+from matchlab.interventions import mask_rows  # noqa: E402
 from matchlab.objectives import SparseGradient  # noqa: E402
-from matchlab.trainer import _mine, _SparseAdam  # noqa: E402
+from matchlab.trainer import _SparseAdam  # noqa: E402
 
 import reference  # noqa: E402
 from conftest import make_vocab, model_from_rows  # noqa: E402
@@ -236,10 +235,9 @@ def test_array_adam_is_the_per_row_adam_bit_for_bit(case):
     ref.v = {tok: v[tok].copy() for tok in ref.t}
     adam.t, adam.m, adam.v = np.array(t, dtype=np.int64), m.copy(), v.copy()
     ref_table, got = table.copy(), table.copy()
-    for n, grads in enumerate(steps):
+    for grads in steps:
         ref.step(ref_table, grads)
-        # the kernel's gradient and a plain {id: row} dict read alike
-        adam.step(got, SparseGradient.of(grads) if n % 2 else grads)
+        adam.step(got, SparseGradient.of(grads))
         assert got.tobytes() == ref_table.tobytes()
     for tok in range(len(table)):
         assert adam.t[tok] == ref.t.get(tok, 0)
@@ -262,7 +260,7 @@ def test_array_adam_bias_correction_at_every_step_count_to_5000():
     grads = dict(enumerate(rng.normal(size=(5000, 2))))
     ref_table, got = np.zeros((5000, 2)), np.zeros((5000, 2))
     ref.step(ref_table, grads)
-    adam.step(got, grads)
+    adam.step(got, SparseGradient.of(grads))
     assert got.tobytes() == ref_table.tobytes()
 
 
@@ -279,20 +277,12 @@ def mining_batches(draw):
     pool = draw(st.lists(sentence, min_size=1, max_size=4))
     pick = st.sampled_from(pool) | sentence
     qids, iids = ["q0", "q1", "q2", "q3"], ["i0", "i1", "i2", "i3", "i4"]
-    batch = draw(st.lists(st.builds(MiningExample, st.sampled_from(qids), pick,
+    batch = draw(st.lists(st.builds(reference.MiningExample, st.sampled_from(qids), pick,
                                     st.sampled_from(iids), pick), min_size=2, max_size=8))
     relevant = draw(st.dictionaries(st.sampled_from(qids),
                                     st.frozensets(st.sampled_from(iids), max_size=3)))
     strategy = draw(st.sampled_from(["in-batch-hardest", "in-batch-random"]))
     return model, batch, relevant, strategy, draw(st.integers(0, 2**32))
-
-
-@PROPERTY
-@given(mining_batches())
-def test_one_matrix_mining_is_the_per_example_miner(case):
-    model, batch, relevant, strategy, seed = case
-    assert (mine_negatives(model, batch, relevant, strategy, seed)
-            == reference.mine_negatives(model, batch, relevant, strategy, seed))
 
 
 @st.composite
@@ -345,21 +335,31 @@ def outcome_of(fn, *args):
 
 
 @PROPERTY
-@given(table_batches())
-def test_the_table_step_is_the_sentence_step(case):
+@given(table_batches(), st.data())
+def test_the_step_reads_rows_not_their_layout(case, data):
+    # The same batch over the run's sentences laid out three other ways:
+    # each sentence in two rows (the batch alternates between them), the
+    # rows permuted, and extra rows no example reads (wider ones, empty ones
+    # and bad ids among them).
     theta, theta0, pool, ex_rows, targets, aug_rows, aug_targets, config, seed = case
-    table = SentenceTable.of(pool)
-    got = outcome_of(total_loss, theta, theta0,
-                     Batch(TableExamples(table, ex_rows, targets), seed,
-                           TableExamples(table, aug_rows, aug_targets)), config)
-    if targets is None:
-        examples = [ContrastiveExample(pool[x], pool[zp], pool[zn]) for x, zn, zp in ex_rows]
-    else:
-        examples = [ScoredExample(pool[x], pool[z], t) for (x, z), t in zip(ex_rows, targets)]
-    augmented = [AugmentedPair(pool[x], pool[xp], t)
-                 for (x, xp), t in zip(aug_rows, aug_targets)]
-    want = outcome_of(total_loss, theta, theta0, Batch(examples, seed, augmented), config)
-    assert got == want
+    n = len(pool)
+
+    def outcome_over(sentences, to_row):
+        table = SentenceTable.of(sentences)
+        batch = Batch(TableExamples(table, to_row(ex_rows), targets), seed,
+                      TableExamples(table, to_row(aug_rows), aug_targets))
+        return outcome_of(total_loss, theta, theta0, batch, config)
+
+    def alternate(r):  # entry k of the row array reads copy k % 2
+        return r + n * (np.arange(r.size) % 2).reshape(r.shape)
+
+    want = outcome_over(pool, lambda r: r)
+    assert outcome_over(pool + pool, alternate) == want
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    assert outcome_over([pool[i] for i in perm], lambda r: perm.argsort().take(r)) == want
+    extra = data.draw(st.lists(st.lists(st.integers(-1, theta.vocab_size), max_size=7)
+                               .map(tuple), min_size=1, max_size=3))
+    assert outcome_over(pool + extra, lambda r: r) == want
 
 
 @PROPERTY
@@ -373,11 +373,61 @@ def test_masked_rows_are_the_sorted_masks(sentences, fraction, batch_seed, data)
                     dtype=np.intp)
     seeds = [intervention_seed(batch_seed, i) for i in range(len(rows))]
     masked = mask_rows(table, rows, fraction, np.array(seeds, dtype=np.uint64))
-    want = mask_fractions([sentences[r] for r in rows], fraction, seeds)
+    want = [reference.mask_fraction(sentences[r], fraction, seed) for r, seed in zip(rows, seeds)]
     for i, w in enumerate(want):
         assert masked.ids[i, :masked.lengths[i]].tolist() == sorted(w)
         assert masked[i] == w  # in sentence order, from the positions kept
         assert sorted(masked.positions[i].tolist()) == list(range(masked.ids.shape[1]))
+
+
+@st.composite
+def itvaug_corpora(draw):
+    """A frozen base model whose later rows may negate earlier ones (so some
+    queries cancel to a degenerate sum), queries of one to five tokens,
+    unknown tokens included, and the fractions and seed of one call."""
+    dim = draw(st.integers(2, 4))
+    base = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    negated = [[-x for x in r] for r in base[:draw(st.integers(0, len(base)))]]
+    theta0 = model_from_rows(base + negated, frozen=True)
+    token = st.sampled_from(theta0.vocab.id_to_token[1:] + ["unknown"])
+    queries = draw(st.lists(st.lists(token, min_size=1, max_size=5).map(tuple), max_size=8))
+    corpus = Corpus({f"q{i}": q for i, q in enumerate(queries)}, {"i": ("t1",)}, [])
+    return (theta0, corpus, draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 0.95)),
+            draw(st.integers(0, 2**63 - 1)))
+
+
+@PROPERTY
+@given(itvaug_corpora())
+def test_itvaug_pairs_are_the_per_sentence_pairs(case):
+    theta0, corpus, fraction, mask_frac, seed = case
+    # The draws build_itvaug makes: the permutation, then one seed per
+    # selected query, short ones included.
+    qids = sorted(corpus.queries)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(qids))
+    selected = [theta0.vocab.encode(corpus.queries[qids[i]])
+                for i in order[:math.floor(fraction * len(qids))]]
+    mask_seeds = [int(rng.integers(np.iinfo(np.int64).max)) for _ in selected]
+    want = []
+    for x, mask_seed in zip(selected, mask_seeds):
+        if len(x) < 2:
+            continue
+        x_prime = reference.mask_fraction(x, mask_frac, mask_seed)
+        try:
+            want.append((x, x_prime, float(encode(theta0, x).embedding
+                                           @ encode(theta0, x_prime).embedding)))
+        except EncodeError:
+            pass
+    log = logging.handlers.BufferingHandler(capacity=10)
+    logger = logging.getLogger("matchlab.objectives")
+    logger.addHandler(log)
+    try:
+        pairs = build_itvaug(corpus, theta0, fraction, mask_frac, seed)
+    finally:
+        logger.removeHandler(log)
+    assert [(ap.x, ap.x_prime, ap.target) for ap in pairs] == want
+    skipped = len(selected) - len(want)
+    assert [r.args for r in log.buffer] == ([(skipped, len(selected))] if skipped else [])
 
 
 @PROPERTY
@@ -389,9 +439,10 @@ def test_mining_through_the_relevance_matrix_is_the_per_example_miner(case):
     # The run's table holds other sentences too; the batch reads its rows.
     table = SentenceTable.of([(1,)] + [ex.x for ex in batch] + [ex.z_pos for ex in batch])
     n = len(batch)
-    neg = _mine(model, table, 1 + np.arange(n), 1 + n + np.arange(n),
-                np.array([qids.index(ex.query_id) for ex in batch]),
-                np.array([iids.index(ex.item_id) for ex in batch]), matrix, strategy, seed)
+    neg = mine_negatives(model, table, 1 + np.arange(n), 1 + n + np.arange(n),
+                         np.array([qids.index(ex.query_id) for ex in batch]),
+                         np.array([iids.index(ex.item_id) for ex in batch]), matrix,
+                         strategy, seed)
     got = [(batch[j].item_id, table[1 + n + j]) if j >= 0 else None for j in neg.tolist()]
     assert got == reference.mine_negatives(model, batch, relevant, strategy, seed)
 
@@ -433,13 +484,15 @@ def test_counter_hash_is_the_python_integer_hash(seed, coords):
        st.integers(0, 2**70))
 def test_batched_masks_are_the_per_sentence_masks(sentences, fraction, batch_seed):
     seeds = [intervention_seed(batch_seed, i) for i in range(len(sentences))]
-    for x, seed, got in zip(sentences, seeds, mask_fractions(sentences, fraction, seeds)):
+    long = [i for i, x in enumerate(sentences) if len(x) >= 2]
+    masked = mask_rows(SentenceTable.of(sentences), np.array(long, dtype=np.intp), fraction,
+                       [seeds[i] for i in long])
+    for i, (x, seed) in enumerate(zip(sentences, seeds)):
         if len(x) < 2:
-            assert got is None
             with pytest.raises(InterventionError):
                 mask_fraction(x, fraction, seed)
         else:
-            assert got == mask_fraction(x, fraction, seed) \
+            assert masked[long.index(i)] == mask_fraction(x, fraction, seed) \
                 == reference.mask_fraction(x, fraction, seed)
 
 
@@ -475,9 +528,10 @@ def test_every_position_is_masked_at_rate_k_over_n():
     assert [int(seeds[i]) for i in (0, 99_999)] == [intervention_seed(11, 0),
                                                     intervention_seed(11, 99_999)]
     for fraction, k in ((0.5, 4), (0.15, 1), (0.9, 7)):
-        masks = mask_fractions([sentence] * n_draws, fraction, seeds)
-        assert Counter(map(len, masks)) == {8 - k: n_draws}
-        kept = Counter(chain.from_iterable(masks))
+        masks = mask_rows(SentenceTable.of([sentence]), np.zeros(n_draws, dtype=np.intp),
+                          fraction, seeds)
+        assert Counter(masks.lengths.tolist()) == {8 - k: n_draws}
+        kept = Counter(masks.ids[:, :8 - k].ravel().tolist())
         dropped = np.array([n_draws - kept[j] for j in sentence])
         p = k / 8
         sigma = (n_draws * p * (1 - p)) ** 0.5

@@ -3,8 +3,8 @@ intervention stream builds no random generator, one function holds the
 artifact float format, the backward holds no Python loop, scoring
 selects its top k without sorting a whole score matrix, the pair index is
 the one pass from a corpus's pairs to arrays, the training step keeps its
-sentences in id arrays, one writer makes every synthetic sentence and one
-parser reads every comma-list flag."""
+sentences in id arrays and takes them in no other form, one writer makes
+every synthetic sentence and one parser reads every comma-list flag."""
 
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ def test_every_import_is_used(path):
 # The functions that make a batch's interventions and dropout views: they
 # hash their coordinates and build no per-sentence random generator.
 HASHED = {"encoder": ("encode", "encode_batch", "counter_hash", "_dropout_uniforms"),
-          "interventions": ("mask_fraction", "mask_fractions"),
+          "interventions": ("mask_fraction", "mask_rows", "_dropped"),
           "objectives": ("intervention_seed", "total_loss")}
 GENERATORS = {"default_rng", "Generator", "SeedSequence"}
 
@@ -161,13 +161,33 @@ def test_the_forward_sorts_no_sentence_alone():
     assert not sorts, f"encoder.encode_batch calls sorted() at lines {sorts}"
 
 
-@pytest.mark.parametrize("function", ["mine_negatives", "_mine"])
+@pytest.mark.parametrize("function", ["mine_negatives"])
 def test_mining_builds_no_set_per_example(function):
     sets = [node.lineno for node in ast.walk(_function("trainer", function))
             if isinstance(node, (ast.Set, ast.SetComp))
             or isinstance(node, ast.Call) and getattr(node.func, "id", None) in SET_CALLS
             or isinstance(node, ast.Attribute) and node.attr == "keys"]
     assert not sets, f"trainer.{function} builds sets at lines {sets}"
+
+
+# The training step takes one input form, rows of a sentence table: the
+# per-example forms beside it, their conversions and the content dedup of
+# masked views stay deleted.
+ADAPTERS = ("ContrastiveExample", "ScoredExample", "MiningExample")
+ADAPTER_HELPERS = {"objectives": ("_table_terms", "_distinct", "_sentence_keys"),
+                   "interventions": ("mask_fractions",),
+                   "trainer": ("_mine",)}
+
+
+def test_the_training_step_has_one_input_form():
+    exported = [name for name in ADAPTERS if hasattr(matchlab, name)]
+    assert not exported, f"matchlab exports {exported}"
+    for module, names in ADAPTER_HELPERS.items():
+        tree = ast.parse((Path(matchlab.__file__).parent / f"{module}.py").read_text("utf-8"))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & set(names), f"{module} defines {defined & set(names)}"
+        assert not defined & set(ADAPTERS), f"{module} defines {defined & set(ADAPTERS)}"
 
 
 def _calls(module: str) -> list[tuple[str | None, ast.Call]]:

@@ -13,8 +13,8 @@ from matchlab import (
     Corpus,
     LossValue,
     Pair,
-    MiningExample,
     RegularizerConfig,
+    SentenceTable,
     SparseGradient,
     TrainConfig,
     TrainError,
@@ -31,6 +31,22 @@ from matchlab import (
 from matchlab.trainer import _SparseAdam
 
 from conftest import make_vocab, model_from_rows, random_model
+
+
+def mined(model, batch, relevant, strategy="in-batch-hardest", seed=0):
+    """``mine_negatives`` over (query id, x, item id, z_pos) examples, with a
+    table of their queries, then their positives: each example's negative as
+    (item id, sentence), or None."""
+    qids = sorted({q for q, *_ in batch} | set(relevant))
+    iids = sorted({i for _, _, i, _ in batch} | {i for r in relevant.values() for i in r})
+    matrix = np.array([[iid in relevant.get(q, ()) for iid in iids] for q in qids], dtype=bool)
+    table = SentenceTable.of([x for _, x, _, _ in batch] + [z for *_, z in batch])
+    n = len(batch)
+    neg = mine_negatives(model, table, np.arange(n), n + np.arange(n),
+                         np.array([qids.index(q) for q, *_ in batch]),
+                         np.array([iids.index(i) for _, _, i, _ in batch]), matrix,
+                         strategy, seed)
+    return [(batch[j][2], batch[j][3]) if j >= 0 else None for j in neg.tolist()]
 
 
 class TestTrainConfig:
@@ -69,60 +85,60 @@ class TestMineNegatives:
         # query (1,0); candidates at cos 0.8 and 0.6
         model = model_from_rows([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8], [0.0, 1.0]])
         batch = [
-            MiningExample("q1", (1,), "own", (4,)),
-            MiningExample("q2", (4,), "m_hi", (2,)),
-            MiningExample("q3", (4,), "m_lo", (3,)),
+            ("q1", (1,), "own", (4,)),
+            ("q2", (4,), "m_hi", (2,)),
+            ("q3", (4,), "m_lo", (3,)),
         ]
-        out = mine_negatives(model, batch, relevant={})
+        out = mined(model, batch, relevant={})
         assert out[0] is not None and out[0][0] == "m_hi"
 
     def test_tie_prefers_smaller_item_id(self):
         model = model_from_rows([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8], [0.0, 1.0]])
         batch = [
-            MiningExample("q1", (1,), "own", (4,)),
-            MiningExample("q2", (4,), "m2", (3,)),
-            MiningExample("q3", (4,), "m1", (2,)),
+            ("q1", (1,), "own", (4,)),
+            ("q2", (4,), "m2", (3,)),
+            ("q3", (4,), "m1", (2,)),
         ]
-        out = mine_negatives(model, batch, relevant={})
+        out = mined(model, batch, relevant={})
         assert out[0] is not None and out[0][0] == "m1"
 
     def test_ground_truth_is_excluded(self):
         model = model_from_rows([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8], [0.0, 1.0]])
         batch = [
-            MiningExample("q1", (1,), "own", (4,)),
-            MiningExample("q2", (4,), "m_hi", (2,)),
-            MiningExample("q3", (4,), "m_lo", (3,)),
+            ("q1", (1,), "own", (4,)),
+            ("q2", (4,), "m_hi", (2,)),
+            ("q3", (4,), "m_lo", (3,)),
         ]
-        out = mine_negatives(model, batch, relevant={"q1": {"m_hi"}})
+        out = mined(model, batch, relevant={"q1": {"m_hi"}})
         assert out[0] is not None and out[0][0] == "m_lo"
 
     def test_no_candidate_yields_none(self):
         model = model_from_rows([[1.0, 0.0], [0.0, 1.0]])
         batch = [
-            MiningExample("q1", (1,), "shared", (2,)),
-            MiningExample("q2", (1,), "shared", (2,)),
+            ("q1", (1,), "shared", (2,)),
+            ("q2", (1,), "shared", (2,)),
         ]
-        out = mine_negatives(model, batch, relevant={})
+        out = mined(model, batch, relevant={})
         assert out == [None, None]
 
     def test_unencodable_query_yields_none(self):
         model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         batch = [
-            MiningExample("q1", (1, 2), "a", (3,)),  # embedding sum is zero
-            MiningExample("q2", (1,), "b", (4,)),
+            ("q1", (1, 2), "a", (3,)),  # embedding sum is zero
+            ("q2", (1,), "b", (4,)),
         ]
-        out = mine_negatives(model, batch, relevant={})
+        out = mined(model, batch, relevant={})
         assert out[0] is None
         assert out[1] is not None and out[1][0] == "a"
 
     def test_random_strategy_is_seeded(self):
         model = random_model(6, 4, np.random.default_rng(0))
         batch = [
-            MiningExample(f"q{i}", (i + 1,), f"i{i}", (i + 1,))
+            (f"q{i}", (i + 1,), f"i{i}", (i + 1,))
             for i in range(4)
         ]
-        a = mine_negatives(model, batch, {}, strategy="in-batch-random", seed=3)
-        b = mine_negatives(model, batch, {}, strategy="in-batch-random", seed=3)
+        a = mined(model, batch, {}, strategy="in-batch-random", seed=3)
+        b = mined(model, batch, {}, strategy="in-batch-random", seed=3)
         assert a == b
         for i, pick in enumerate(a):
             assert pick is not None and pick[0] != f"i{i}"
@@ -130,7 +146,7 @@ class TestMineNegatives:
     def test_small_batch_rejected(self):
         model = random_model(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            mine_negatives(model, [MiningExample("q", (1,), "i", (2,))], {})
+            mined(model, [("q", (1,), "i", (2,))], {})
 
 
 class TestSparseAdam:
@@ -138,7 +154,7 @@ class TestSparseAdam:
         adam = _SparseAdam(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         table = np.zeros((3, 2))
         g = np.array([0.5, -0.25])
-        adam.step(table, {1: g})
+        adam.step(table, SparseGradient.of({1: g}))
         # bias-corrected first step reduces to lr * g / (|g| + eps)
         np.testing.assert_allclose(table[1], [-0.01, 0.01], rtol=1e-6)
         assert np.all(table[0] == 0.0) and np.all(table[2] == 0.0)
@@ -146,16 +162,17 @@ class TestSparseAdam:
     def test_zero_lr_never_moves(self):
         adam = _SparseAdam(lr=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
         table = np.full((3, 2), 0.7)
-        adam.step(table, {0: np.array([1.0, -1.0]), 2: np.array([0.3, 0.3])})
+        adam.step(table, SparseGradient.of({0: np.array([1.0, -1.0]),
+                                            2: np.array([0.3, 0.3])}))
         assert np.all(table == 0.7)
 
     def test_bias_correction_counts_per_row(self):
         adam = _SparseAdam(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         table = np.zeros((3, 2))
         g = np.array([0.5, -0.25])
-        adam.step(table, {1: g})
+        adam.step(table, SparseGradient.of({1: g}))
         first_delta = table[1].copy()
-        adam.step(table, {1: g, 2: g})
+        adam.step(table, SparseGradient.of({1: g, 2: g}))
         # row 2 sees its own first step: same arithmetic as row 1's first
         np.testing.assert_array_equal(table[2], first_delta)
         assert (adam.t[0], adam.t[1], adam.t[2]) == (0, 2, 1)
@@ -305,9 +322,11 @@ class TestTrain:
 
 class TestStepClockContract:
     """The benchmark times a train() step from one total_loss call to the
-    next and divides by the call's len(batch.examples): train() must call
-    total_loss through its module binding once per optimizer step, with the
-    examples that step uses."""
+    next and divides by the call's len(batch.examples), and its tracer times
+    mining under the name mine_negatives: train() must call total_loss
+    through its module binding once per optimizer step, with the examples
+    that step uses, and mine_negatives through its binding once per
+    contrastive batch."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -325,8 +344,9 @@ class TestStepClockContract:
             events.append(("loss", len(batch.examples))) or loss(theta, theta0, batch, config)))
         monkeypatch.setattr(_SparseAdam, "step", record("step", _SparseAdam.step,
                                                         lambda args, out: None))
-        monkeypatch.setattr(matchlab.trainer, "_mine", record(
-            "mine", matchlab.trainer._mine, lambda args, out: int(np.count_nonzero(out >= 0))))
+        monkeypatch.setattr(matchlab.trainer, "mine_negatives", record(
+            "mine", matchlab.trainer.mine_negatives,
+            lambda args, out: int(np.count_nonzero(out >= 0))))
         return events
 
     @pytest.mark.parametrize("loss_kind, kind", [("contrastive", "itvreg"),
@@ -343,10 +363,12 @@ class TestStepClockContract:
         if loss_kind == "mse":  # every pair, in batches of 5, each epoch
             n = len(corpus.pairs)
             assert lengths == cfg.epochs * ([5] * (n // 5) + [n % 5] * (n % 5 > 0))
-        else:  # each mined batch's examples that found a negative
-            mined = [n for k, n in events if k == "mine"]
-            assert lengths == [n for n in mined if n]
+        else:  # one mining call per batch; each batch's examples that found a negative
+            found = [n for k, n in events if k == "mine"]
+            assert lengths == [n for n in found if n]
             anchors = sum(1 for items in corpus.relevant_by_query().values() if items)
+            assert len(found) == cfg.epochs * -(-anchors // cfg.batch_size) \
+                - run.skipped["short_batch"]
             assert sum(lengths) == cfg.epochs * anchors - run.skipped["no_negative"] \
                 - run.skipped["short_batch"]
         assert run.skipped["degenerate"] == 0
