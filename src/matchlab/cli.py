@@ -52,7 +52,7 @@ from .trainer import (
     write_loss_trace,
 )
 
-DEFAULT_EPOCHS = {"contrastive": 200, "mse": 5}
+DEFAULT_EPOCHS = {"contrastive": TrainConfig.epochs, "mse": 5}
 
 
 class CliError(Exception):
@@ -138,16 +138,6 @@ def _resolve_epochs(ns: argparse.Namespace) -> int:
     if ns.epochs is not None:
         return ns.epochs
     return DEFAULT_EPOCHS[ns.loss]
-
-
-def _regularizer_from_flags(ns: argparse.Namespace) -> RegularizerConfig:
-    return RegularizerConfig(
-        kind=ns.reg,
-        lam=ns.reg_lambda,
-        mask_fraction=ns.mask_fraction,
-        dropout_rate=ns.dropout_rate,
-        itvaug_fraction=ns.itvaug_fraction,
-    )
 
 
 def _write_splits(ns: argparse.Namespace, splits: tuple[Corpus, Corpus, Corpus],
@@ -247,8 +237,11 @@ def cmd_train(ns: argparse.Namespace) -> int:
         theta_init = theta0.copy()
     else:
         theta_init = init_model(vocab, dim=theta0.dim, seed=ns.seed)
-    run, config, digest = _fit(ns, corpus, theta_init, theta0,
-                               _regularizer_from_flags(ns))
+    regularizer = RegularizerConfig(kind=ns.reg, lam=ns.reg_lambda,
+                                    mask_fraction=ns.mask_fraction,
+                                    dropout_rate=ns.dropout_rate,
+                                    itvaug_fraction=ns.itvaug_fraction)
+    run, config, digest = _fit(ns, corpus, theta_init, theta0, regularizer)
     print(json.dumps({
         "checkpoint": str(ns.out),
         "epochs": config.epochs,
@@ -328,15 +321,17 @@ def cmd_importance(ns: argparse.Namespace) -> int:
 
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loss", choices=LOSS_KINDS, default="contrastive",
+    p.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss_kind,
                    help="fitting loss")
     p.add_argument("--epochs", type=int, default=None,
                    help="training epochs (default: 200 contrastive, 5 mse)")
-    p.add_argument("--batch-size", type=int, default=32, help="examples per batch")
-    p.add_argument("--lr", type=float, default=1e-4, help="Adam learning rate")
-    p.add_argument("--seed", type=_seed, default=0, help="run seed")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help="examples per batch")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="Adam learning rate")
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed, help="run seed")
     p.add_argument("--negatives", choices=NEGATIVE_STRATEGIES,
-                   default="in-batch-hardest", help="negative mining strategy")
+                   default=TrainConfig.negative_strategy, help="negative mining strategy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", default=None, help="comma-separated held-out categories")
     p.add_argument("--holdout-k", type=int, default=None,
                    help="hold out the k most frequent categories instead")
-    p.add_argument("--train-fraction", type=float, default=0.9,
+    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction,
                    help="train share of the non-held-out queries")
-    p.add_argument("--seed", type=_seed, default=0, help="shuffle seed")
+    p.add_argument("--seed", type=_seed, default=SplitSpec.seed, help="shuffle seed")
     p.set_defaults(func=cmd_split)
 
     p = add("pretrain-base", "manufacture a frozen base model from a broad corpus")
@@ -404,13 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None, help="optional loss-trace CSV")
     p.add_argument("--init", choices=["base", "random"], default="base",
                    help="start from the base table or a fresh seeded init")
-    p.add_argument("--reg", choices=list(REGULARIZER_KINDS), default="none",
+    p.add_argument("--reg", choices=list(REGULARIZER_KINDS), default=RegularizerConfig.kind,
                    help="regularizer kind")
-    p.add_argument("--reg-lambda", type=float, default=0.1, help="penalty weight")
-    p.add_argument("--mask-fraction", type=float, default=None,
+    p.add_argument("--reg-lambda", type=float, default=RegularizerConfig.lam,
+                   help="penalty weight")
+    p.add_argument("--mask-fraction", type=float, default=RegularizerConfig.mask_fraction,
                    help="intervention mask fraction (default: 0.5 itvreg/itvaug, 0.15 maskreg)")
-    p.add_argument("--dropout-rate", type=float, default=0.1, help="simcse dropout rate")
-    p.add_argument("--itvaug-fraction", type=float, default=1.0,
+    p.add_argument("--dropout-rate", type=float, default=RegularizerConfig.dropout_rate,
+                   help="simcse dropout rate")
+    p.add_argument("--itvaug-fraction", type=float, default=RegularizerConfig.itvaug_fraction,
                    help="fraction of queries given augmented pairs")
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_train)

@@ -78,7 +78,8 @@ class Corpus:
     ``==``, ``repr`` and ``dataclasses.fields`` ignore them. An in-place edit
     never reads a stale index: each call compares the query ids, item ids
     and pairs (in order) with those the index was built from, and rebuilds
-    it when any of them differ. Editing a query's or an item's tokens
+    it when any of them differ. A rebuild checks the pairs as construction
+    does, with the same CorpusError. Editing a query's or an item's tokens
     leaves the index as it is, since it holds no tokens.
     """
 
@@ -142,11 +143,19 @@ class Corpus:
         rel = np.array(p_rels, dtype=np.float64)
         positive, negative = rel == 1.0, rel == 0.0
         binary = (positive | negative).all() and not np.signbit(rel).any()
-        index = PairIndex(
-            query_ids, item_ids,
-            np.fromiter(map(row.__getitem__, p_qids), np.int32, len(p_qids)),
-            np.fromiter(map(col.__getitem__, p_iids), np.int32, len(p_iids)),
-            positive, negative, None if binary else rel)
+        # An edit can leave a pair that construction refuses. Its check, run
+        # again, raises construction's error: on a failed id lookup, or on a
+        # graded relevance outside [0, 1] (a binary one is 0 or 1).
+        try:
+            rows = np.fromiter(map(row.__getitem__, p_qids), np.int32, len(p_qids))
+            cols = np.fromiter(map(col.__getitem__, p_iids), np.int32, len(p_iids))
+        except KeyError:
+            self.__post_init__()
+            raise
+        if not binary and not ((rel >= 0.0) & (rel <= 1.0)).all():
+            self.__post_init__()
+        index = PairIndex(query_ids, item_ids, rows, cols, positive, negative,
+                          None if binary else rel)
         self.__dict__["_pair_index"] = ((*source[:2], list(self.pairs)), index)
         return index
 
@@ -370,7 +379,8 @@ def split_by_category(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, 
         if cat not in present:
             raise CorpusError(f"held-out category {cat!r} matches no query")
     ood_q = sorted(q for q, c in corpus.query_categories.items() if c in held)
-    rest = sorted(q for q in corpus.queries if q not in set(ood_q))
+    ood_set = set(ood_q)
+    rest = sorted(q for q in corpus.queries if q not in ood_set)
     if not rest:
         raise CorpusError("all queries held out; train split is empty")
     rng = np.random.default_rng(spec.seed)
@@ -424,32 +434,6 @@ def interpolate_ood(iid_eval: Corpus, ood_pool: Corpus, fraction: float, seed: i
     icat = dict(iid_eval.item_categories)
     icat.update({i: c for i, c in ood_pool.item_categories.items() if i in added_items})
     return Corpus(queries, items, pairs, qcat, icat)
-
-
-def item_frequency_quantiles(corpus: Corpus, n_bins: int = 5) -> dict[str, int]:
-    """Assign each item to one of n_bins equal-count bins by ascending pair count.
-
-    Ties are broken by item id; bin sizes differ by at most one, with the
-    lower-frequency bins taking the remainder.
-    """
-    n_items = len(corpus.items)
-    if n_bins < 1:
-        raise CorpusError(f"n_bins must be >= 1, got {n_bins}")
-    if n_bins > n_items:
-        raise CorpusError(f"n_bins={n_bins} exceeds item count {n_items}")
-    index = corpus.pair_index()
-    return dict(zip(index.item_ids, _frequency_bins(index.item_counts(), n_bins).tolist()))
-
-
-def _frequency_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:
-    """The bin of each item, given the pair counts of the items in ascending
-    id order: n_bins equal-count bins by ascending (count, id), sizes
-    differing by at most one, the lower-frequency bins taking the remainder."""
-    base, rem = divmod(len(counts), n_bins)
-    bins = np.empty(len(counts), dtype=np.intp)
-    bins[np.argsort(counts, kind="stable")] = np.repeat(
-        np.arange(n_bins), [base + (b < rem) for b in range(n_bins)])
-    return bins
 
 
 # ---------------------------------------------------------------------------

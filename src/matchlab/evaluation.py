@@ -12,8 +12,7 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, Sentence, Tokens, Vocab, _frequency_bins, interpolate_ood,
-                     write_table)
+from .corpus import Corpus, CorpusError, Sentence, Tokens, Vocab, interpolate_ood, write_table
 from .encoder import EmbeddingModel, encode, encode_batch, encode_error, row_dots
 
 NO_TRUTH_BIN = -1
@@ -233,6 +232,29 @@ def _auc_partial(scores: np.ndarray, labels: np.ndarray, fpr_max: float) -> floa
             area += (fpr_max - x0) * (y0 + yc) / 2.0
             break
     return area / fpr_max
+
+
+def item_frequency_quantiles(corpus: Corpus, n_bins: int = 5) -> dict[str, int]:
+    """Assign each item to one of n_bins equal-count bins by ascending pair
+    count (``_frequency_bins``), keyed by item id in ascending order."""
+    n_items = len(corpus.items)
+    if n_bins < 1:
+        raise CorpusError(f"n_bins must be >= 1, got {n_bins}")
+    if n_bins > n_items:
+        raise CorpusError(f"n_bins={n_bins} exceeds item count {n_items}")
+    index = corpus.pair_index()
+    return dict(zip(index.item_ids, _frequency_bins(index.item_counts(), n_bins).tolist()))
+
+
+def _frequency_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:
+    """The bin of each item, given the pair counts of the items in ascending
+    id order: n_bins equal-count bins by ascending (count, id), sizes
+    differing by at most one, the lower-frequency bins taking the remainder."""
+    base, rem = divmod(len(counts), n_bins)
+    bins = np.empty(len(counts), dtype=np.intp)
+    bins[np.argsort(counts, kind="stable")] = np.repeat(
+        np.arange(n_bins), [base + (b < rem) for b in range(n_bins)])
+    return bins
 
 
 @dataclass

@@ -138,8 +138,7 @@ class AugmentedPair:
     target: float
 
     def __post_init__(self) -> None:
-        if not (-1.0 - 1e-9 <= self.target <= 1.0 + 1e-9):
-            raise ValueError(f"target {self.target} outside [-1, 1]")
+        _check_targets(np.array([self.target]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +268,7 @@ def _kernel(
 
 
 def _check_targets(targets: np.ndarray) -> None:
+    """Raise ValueError for the first target outside [-1, 1] (up to 1e-9)."""
     bad = targets[~((targets >= -1.0 - 1e-9) & (targets <= 1.0 + 1e-9))]
     if len(bad):
         raise ValueError(f"target {bad[0]} outside [-1, 1]")
@@ -283,66 +283,6 @@ def _distinct_rows(keys: list[np.ndarray], n: int) -> tuple[np.ndarray, list[np.
     rows = at.nonzero()[0]
     at[rows] = np.arange(len(rows))
     return rows, [at.take(k) for k in keys]
-
-
-def _loss(theta: EmbeddingModel, theta0: EmbeddingModel | None, table: SentenceTable,
-          fit: _Terms, aug: _Terms | None, seed: int,
-          config: RegularizerConfig) -> LossValue:
-    """``total_loss`` over fitting and augmented terms whose views are rows
-    of ``table``. The penalty sentences are each example's x, then its z+
-    (contrastive) or z. Each view is encoded once: plain views once per
-    row, then the masked views, one per penalty sentence (two equal ones
-    encode to the same bytes, so they are not merged), or the dropout views,
-    one per penalty sentence and draw, whose seeds hash their own
-    coordinates and so differ."""
-    if fit.targets is not None:
-        _check_targets(fit.targets)
-    kind, skipped = config.kind, 0
-    # The penalty's terms: plain views first (rows of table), then views
-    # that follow the plain ones (masked or dropout).
-    pen_plain = pen_after = masked = drops = None
-    rule, targets = "itvreg" if kind == "itvreg" else "residual", None
-    if kind == "itvaug" and aug is not None:
-        pen_plain, targets = aug.views, aug.targets
-    elif kind not in ("none", "itvaug"):
-        xs = fit.views[:, [0, 2] if fit.rule == "hinge" else [0, 1]].ravel()
-        # seeds[i, draw] is intervention_seed(seed, i, draw), one hash for all.
-        seeds = counter_hash(seed_words([seed]), np.arange(len(xs))[:, None],
-                             np.arange(2 if kind == "simcse" else 1))
-        if kind == "outreg":
-            rule, pen_plain = "outreg", xs[:, None]
-        elif kind == "simcse" and config.dropout_rate == 0.0:  # two plain views
-            pen_plain = np.stack((xs, xs), axis=1)
-        elif kind == "simcse":
-            drops = (xs.repeat(2), seeds.ravel())
-            pen_after = np.arange(2 * len(xs)).reshape(-1, 2)
-        else:  # itvreg and maskreg: x and its masked view
-            at = (table.lengths.take(xs) >= 2).nonzero()[0]
-            skipped = len(xs) - len(at)
-            masked = mask_rows(table, xs.take(at), config.resolved_mask_fraction,
-                               seeds[:, 0].take(at))
-            pen_plain, pen_after = xs.take(at)[:, None], np.arange(len(at))[:, None]
-    plain = [fit.views] + ([] if pen_plain is None else [pen_plain])
-    rows, plain = _distinct_rows(plain, len(table))
-    fit = fit._replace(views=plain[0])
-    penalties = []
-    if pen_plain is not None or pen_after is not None:
-        cols = [plain[-1]] if pen_plain is not None else []
-        if pen_after is not None:
-            cols.append(pen_after + len(rows))
-        penalties = [_Terms(rule, np.concatenate(cols, axis=1), targets)]
-    rates = seeds = None
-    if drops is not None:
-        views = table.take(np.concatenate((rows, drops[0])))
-        rates = np.zeros(len(views))
-        rates[len(rows):] = config.dropout_rate
-        seeds = np.zeros(len(views), dtype=np.uint64)
-        seeds[len(rows):] = drops[1]
-    elif masked is not None:
-        views = SentenceTable.concat([table.take(rows), masked])
-    else:
-        views = table.take(rows)
-    return _kernel(theta, theta0, views, fit, penalties, config.lam, skipped, rates, seeds)
 
 
 def _alone(theta: EmbeddingModel, theta0: EmbeddingModel | None, views: list,
@@ -367,10 +307,9 @@ def mse_loss(theta: EmbeddingModel, x: Sentence, z: Sentence, target: float) -> 
     Targets may lie anywhere in [-1, 1]: corpus relevance grades use [0, 1],
     augmented-pair targets are base-model cosines.
     """
-    if not -1.0 - 1e-9 <= target <= 1.0 + 1e-9:
-        raise ValueError(f"target {target} outside [-1, 1]")
-    return _kernel(theta, None, [x, z], _Terms("residual", _ONE_TERM[2], np.array([target])),
-                   [], 0.0)
+    targets = np.array([target])
+    _check_targets(targets)
+    return _kernel(theta, None, [x, z], _Terms("residual", _ONE_TERM[2], targets), [], 0.0)
 
 
 def outreg_penalty(theta: EmbeddingModel, theta0: EmbeddingModel, x: Sentence) -> LossValue:
@@ -455,18 +394,68 @@ def total_loss(
     penalty cannot handle (too short to mask, degenerate views) are skipped
     and counted, never zero-filled; so are examples whose fitting loss meets a
     degenerate view, and the fitting mean runs over the examples that remain.
-    Raises DegenerateNormError only when no example remains. The examples
-    and augmented pairs are rows of one sentence table.
-    """
-    if not batch.examples:
-        raise ValueError("batch must contain at least one example")
-    if config.kind in ("outreg", "itvreg") and theta0 is None:
-        raise ValueError(f"{config.kind} requires a base model")
+    Raises DegenerateNormError only when no example remains.
 
-    examples, augmented = batch.examples, batch.augmented if config.kind == "itvaug" else None
+    The examples and augmented pairs are rows of one sentence table. The
+    penalty sentences are each example's x, then its z+ (contrastive) or z.
+    Each view is encoded once: plain views once per row, then the masked
+    views, one per penalty sentence (two equal ones encode to the same
+    bytes, so they are not merged), or the dropout views, one per penalty
+    sentence and draw, whose seeds hash their own coordinates and so differ
+    (at rate 0 a dropout view encodes as its plain row).
+    """
+    examples, kind = batch.examples, config.kind
+    if not examples:
+        raise ValueError("batch must contain at least one example")
+    if kind in ("outreg", "itvreg") and theta0 is None:
+        raise ValueError(f"{kind} requires a base model")
+    augmented = batch.augmented if kind == "itvaug" else None
     if augmented and augmented.table is not examples.table:
         raise TypeError("augmented pairs of table examples must be rows of their table")
-    fit = _Terms("hinge" if examples.targets is None else "residual", examples.rows,
-                 examples.targets)
-    aug = _Terms("residual", augmented.rows, augmented.targets) if augmented else None
-    return _loss(theta, theta0, examples.table, fit, aug, batch.seed, config)
+    table, fit_rule = examples.table, "hinge" if examples.targets is None else "residual"
+    if examples.targets is not None:
+        _check_targets(examples.targets)
+    skipped = 0
+    # The penalty's terms: plain views first (rows of table), then views
+    # that follow the plain ones (masked or dropout).
+    pen_plain = pen_after = masked = drops = None
+    rule, targets = "itvreg" if kind == "itvreg" else "residual", None
+    if augmented:
+        pen_plain, targets = augmented.rows, augmented.targets
+    elif kind not in ("none", "itvaug"):
+        xs = examples.rows[:, [0, 2] if fit_rule == "hinge" else [0, 1]].ravel()
+        # seeds[i, draw] is intervention_seed(batch.seed, i, draw), one hash for all.
+        seeds = counter_hash(seed_words([batch.seed]), np.arange(len(xs))[:, None],
+                             np.arange(2 if kind == "simcse" else 1))
+        if kind == "outreg":
+            rule, pen_plain = "outreg", xs[:, None]
+        elif kind == "simcse":
+            drops = (xs.repeat(2), seeds.ravel())
+            pen_after = np.arange(2 * len(xs)).reshape(-1, 2)
+        else:  # itvreg and maskreg: x and its masked view
+            at = (table.lengths.take(xs) >= 2).nonzero()[0]
+            skipped = len(xs) - len(at)
+            masked = mask_rows(table, xs.take(at), config.resolved_mask_fraction,
+                               seeds[:, 0].take(at))
+            pen_plain, pen_after = xs.take(at)[:, None], np.arange(len(at))[:, None]
+    plain = [examples.rows] + ([] if pen_plain is None else [pen_plain])
+    rows, plain = _distinct_rows(plain, len(table))
+    fit = _Terms(fit_rule, plain[0], examples.targets)
+    penalties = []
+    if pen_plain is not None or pen_after is not None:
+        cols = [plain[-1]] if pen_plain is not None else []
+        if pen_after is not None:
+            cols.append(pen_after + len(rows))
+        penalties = [_Terms(rule, np.concatenate(cols, axis=1), targets)]
+    rates = seeds = None
+    if drops is not None:
+        views = table.take(np.concatenate((rows, drops[0])))
+        rates = np.zeros(len(views))
+        rates[len(rows):] = config.dropout_rate
+        seeds = np.zeros(len(views), dtype=np.uint64)
+        seeds[len(rows):] = drops[1]
+    elif masked is not None:
+        views = SentenceTable.concat([table.take(rows), masked])
+    else:
+        views = table.take(rows)
+    return _kernel(theta, theta0, views, fit, penalties, config.lam, skipped, rates, seeds)

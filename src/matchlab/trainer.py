@@ -170,10 +170,6 @@ class _SparseAdam:
         table[ids] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _chunk(order: np.ndarray, size: int) -> list[np.ndarray]:
-    return [order[i:i + size] for i in range(0, len(order), size)]
-
-
 def train(
     corpus_train: Corpus,
     theta_init: EmbeddingModel,
@@ -247,7 +243,7 @@ def train(
                 # anchor would make them.
                 positives = pool[starts + rng.integers(counts)]
             order = rng.permutation(n_examples)
-            batches = _chunk(order, config.batch_size)
+            batches = np.split(order, range(config.batch_size, n_examples, config.batch_size))
             if config.loss_kind == "contrastive" and len(batches) > 1 and len(batches[-1]) < 2:
                 batches = batches[:-1]
                 skipped["short_batch"] += 1

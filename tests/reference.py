@@ -15,11 +15,13 @@ id-sorted candidates. The property tests hold the trainer's array versions
 to them byte for byte. ``evaluate`` is the evaluation as it was before it
 worked on arrays: one query at a time, with sets of relevant ids, a keyed
 ``min`` for each query's anchor and a list of (score, label) pairs for the
-partial AUC. The property tests hold the array ``evaluate`` to its reports,
-JSON for JSON. ``splitmix64``, ``mask_fraction`` and ``dropout_keep`` are
-the hashed intervention stream written with Python integers, one position
-or coordinate at a time: the property tests hold the package's uint64
-arrays, padded masks and keep masks to them.
+partial AUC. It counts each item's pairs and bins the items itself, walking
+``corpus.pairs``, so it reads nothing from the pair index it checks. The
+property tests hold the array ``evaluate`` to its reports, JSON for JSON.
+``splitmix64``, ``mask_fraction`` and ``dropout_keep`` are the hashed
+intervention stream written with Python integers, one position or
+coordinate at a time: the property tests hold the package's uint64 arrays,
+padded masks and keep masks to them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from matchlab import (
     Sentence,
     auc_partial,
     encode_batch,
-    item_frequency_quantiles,
     row_dots,
 )
 from matchlab.encoder import encode_error
@@ -202,7 +203,7 @@ def evaluate(
         raise EvalError("no candidate item could be encoded")
 
     relevant = corpus.relevant_by_query()
-    pair_counts = corpus.item_pair_counts()
+    pair_counts = Counter(p.item_id for p in corpus.pairs)
 
     feasible = [k for k in ks if k <= len(item_ids)]
     p_sums = dict.fromkeys(feasible, 0.0)
@@ -219,7 +220,11 @@ def evaluate(
         raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
     if n_bins > len(corpus.items):
         raise EvalError(f"n_bins={n_bins} exceeds item count {len(corpus.items)}")
-    bins = item_frequency_quantiles(corpus, n_bins)
+    # n_bins equal-count bins by ascending (pair count, id), the
+    # lower-frequency bins taking the remainder
+    base, rem = divmod(len(corpus.items), n_bins)
+    ranked = sorted(corpus.items, key=lambda iid: (pair_counts[iid], iid))
+    bins = dict(zip(ranked, (b for b in range(n_bins) for _ in range(base + (b < rem)))))
     q_scores = {qid: row_dots(item_matrix, row) for qid, row in zip(qids, q.embeddings)}
     for qid, scores in q_scores.items():
         order = np.argsort(-scores, kind="stable")  # ids ascend: ties go by id

@@ -5,6 +5,7 @@ exit code 2) and config-file overlay rules."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import matchlab
-from matchlab import load_corpus
+from matchlab import RegularizerConfig, SplitSpec, TrainConfig, load_corpus
 from matchlab.cli import _resolve_epochs, build_parser, main
 
 
@@ -629,6 +630,34 @@ class TestDefaultsAndDigests:
                                 "--vocab", "v", "--out", "o", "--loss", "mse",
                                 "--epochs", "7"])
         assert _resolve_epochs(ns) == 7
+
+    TRAIN_REQUIRED = {
+        "train": ["--corpus", "c", "--base", "b", "--vocab", "v", "--out", "o"],
+        "pretrain-base": ["--corpus", "c", "--out", "o", "--vocab-out", "v"],
+    }
+
+    @pytest.mark.parametrize("loss", ["contrastive", "mse"])
+    @pytest.mark.parametrize("command", sorted(TRAIN_REQUIRED))
+    def test_training_defaults_are_the_config_defaults(self, command, loss):
+        ns = build_parser().parse_args([command, *self.TRAIN_REQUIRED[command], "--loss", loss])
+        regularizer = (RegularizerConfig(kind=ns.reg, lam=ns.reg_lambda,
+                                         mask_fraction=ns.mask_fraction,
+                                         dropout_rate=ns.dropout_rate,
+                                         itvaug_fraction=ns.itvaug_fraction)
+                       if command == "train" else RegularizerConfig(kind="none"))
+        assert regularizer == RegularizerConfig()
+        config = TrainConfig(loss_kind=ns.loss, regularizer=regularizer,
+                             epochs=_resolve_epochs(ns), batch_size=ns.batch_size,
+                             learning_rate=ns.lr, seed=ns.seed,
+                             negative_strategy=ns.negatives)
+        # mse's epoch default (5) is the CLI's own; the library has one default.
+        want = (TrainConfig() if loss == "contrastive"
+                else dataclasses.replace(TrainConfig(), loss_kind="mse", epochs=5))
+        assert config == want
+
+    def test_split_defaults_are_the_spec_defaults(self):
+        ns = build_parser().parse_args(["split", "--corpus", "c", "--out-dir", "d"])
+        assert (ns.train_fraction, ns.seed) == (SplitSpec().train_fraction, SplitSpec().seed)
 
     def test_digest_is_stable_and_flag_sensitive(self, pipeline, tmp_path, monkeypatch):
         root, _ = pipeline

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import matchlab.corpus
 from matchlab import (
     Corpus,
     CorpusError,
@@ -191,6 +192,24 @@ class TestSplitByCategory:
         first = split_by_category(corpus, spec)
         second = split_by_category(corpus, spec)
         assert first == second
+
+    def test_split_builds_a_bounded_number_of_sets(self, monkeypatch):
+        # The held-out query set is built once per split, not once per query.
+        n = 2000
+        queries = {f"q{i:04d}": ("tok",) for i in range(n)}
+        cats = {q: "A" if i % 2 else "B" for i, q in enumerate(queries)}
+        corpus = Corpus(queries, {"i0": ("tok",)}, [], cats, {"i0": "A"})
+        built = []
+
+        def counting_set(*args):
+            built.append(args)
+            return set(*args)
+
+        monkeypatch.setattr(matchlab.corpus, "set", counting_set, raising=False)
+        train, iid, ood = split_by_category(corpus, SplitSpec(holdout=("B",), seed=0))
+        monkeypatch.undo()
+        assert len(ood.queries) == n // 2 and len(train.queries) + len(iid.queries) == n // 2
+        assert len(built) < 10, f"split_by_category built {len(built)} sets"
 
     def test_most_frequent_categories(self):
         corpus = _categorized_corpus()

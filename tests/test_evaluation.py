@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import matchlab.evaluation
 from matchlab import (
     Corpus,
+    CorpusError,
     EncodeError,
     EvalError,
     EvalReport,
@@ -413,6 +415,32 @@ class TestPairIndex:
         assert _listed(corpus.pair_index()) == _listed(fresh.pair_index()) != before
         assert list(corpus.item_pair_counts().items()) == \
             list(fresh.item_pair_counts().items())
+
+    # Edits that leave a pair construction refuses: the rebuild raises
+    # construction's error, for a binary corpus and a graded one.
+    REFUSED = {
+        "unknown-query": lambda c: c.pairs.append(Pair("ghost", "i00", 1.0)),
+        "unknown-item": lambda c: c.pairs.append(Pair("q00", "ghost", 0.0)),
+        "relevance-above-one": lambda c: c.pairs.__setitem__(
+            1, c.pairs[1]._replace(relevance=7.0)),
+        "relevance-nan": lambda c: c.pairs.append(Pair("q00", "i00", math.nan)),
+    }
+
+    @pytest.mark.parametrize("graded", [False, True], ids=["binary", "graded"])
+    @pytest.mark.parametrize("edit", sorted(REFUSED))
+    def test_rebuild_refuses_what_construction_refuses(self, edit, graded):
+        corpus, model = _eval_corpus_and_model(seed=12)
+        if graded:
+            corpus.pairs[0] = corpus.pairs[0]._replace(relevance=0.5)
+        evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        self.REFUSED[edit](corpus)
+        with pytest.raises(CorpusError) as built:
+            _fresh(corpus)
+        message = f"^{re.escape(str(built.value))}$"
+        with pytest.raises(CorpusError, match=message):
+            corpus.pair_index()
+        with pytest.raises(CorpusError, match=message):
+            evaluate(model, corpus, ks=(1, 3), n_bins=2)
 
     def test_token_edit_keeps_the_index(self):
         corpus, model = _eval_corpus_and_model(seed=12)

@@ -12,6 +12,7 @@ import pytest
 import matchlab.encoder
 import matchlab.objectives
 from matchlab import (
+    AugmentedPair,
     Corpus,
     DegenerateNormError,
     EncodeError,
@@ -99,6 +100,23 @@ class TestMseLoss:
             mse_loss(model, (1,), (1,), 1.5)
         with pytest.raises(ValueError):
             mse_loss(model, (1,), (1,), -1.5)
+
+    def test_every_target_check_is_one_rule(self):
+        # mse_loss, augmented pairs and total_loss's scored examples accept
+        # [-1, 1] up to 1e-9 and name the first bad target as it was given.
+        model = model_from_rows([[1.0, 0.0]])
+        mse_loss(model, (1,), (1,), 1.0 + 1e-10)
+        AugmentedPair((1,), (1,), -1.0 - 1e-10)
+        bad = {"target 2 outside": lambda: mse_loss(model, (1,), (1,), 2),
+               "target -1.5 outside": lambda: mse_loss(model, (1,), (1,), -1.5),
+               "target nan outside": lambda: AugmentedPair((1,), (1,), math.nan),
+               "target 3 outside": lambda: AugmentedPair((1,), (1,), 3),
+               "target 2.5 outside": lambda: total_loss(
+                   model, None, table_batch([((1,), (1,), 0.5), ((1,), (1,), 2.5)]),
+                   RegularizerConfig())}
+        for message, call in bad.items():
+            with pytest.raises(ValueError, match=rf"^{message} \[-1, 1\]$"):
+                call()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(33)

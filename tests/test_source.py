@@ -4,7 +4,9 @@ artifact float format, the backward holds no Python loop, scoring
 selects its top k without sorting a whole score matrix, the pair index is
 the one pass from a corpus's pairs to arrays, the training step keeps its
 sentences in id arrays and takes them in no other form, one writer makes
-every synthetic sentence and one parser reads every comma-list flag."""
+every synthetic sentence and one parser reads every comma-list flag. No
+module imports another's private name, one-caller helpers stay inlined, and
+one function holds the target bound."""
 
 from __future__ import annotations
 
@@ -190,18 +192,23 @@ def test_the_training_step_has_one_input_form():
         assert not defined & set(ADAPTERS), f"{module} defines {defined & set(ADAPTERS)}"
 
 
-def _calls(module: str) -> list[tuple[str | None, ast.Call]]:
-    """Each call in ``matchlab.<module>`` with its innermost enclosing function."""
+def _nodes(module: str) -> list[tuple[str | None, ast.AST]]:
+    """Each node in ``matchlab.<module>`` with its innermost enclosing function."""
     path = Path(matchlab.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    calls = []
+    nodes = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
+        if hasattr(node, "lineno"):
             inner = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
             innermost = min(inner, key=lambda f: f.end_lineno - f.lineno, default=None)
-            calls.append((innermost and innermost.name, node))
-    return calls
+            nodes.append((innermost and innermost.name, node))
+    return nodes
+
+
+def _calls(module: str) -> list[tuple[str | None, ast.Call]]:
+    """Each call in ``matchlab.<module>`` with its innermost enclosing function."""
+    return [(name, node) for name, node in _nodes(module) if isinstance(node, ast.Call)]
 
 
 def test_one_writer_makes_every_synthetic_sentence():
@@ -218,3 +225,34 @@ def test_one_parser_reads_every_comma_list_flag():
                  if getattr(call.func, "attr", None) == "split"
                  and [getattr(a, "value", None) for a in call.args] == [","]}
     assert splitters == {"_comma_list"}, splitters
+
+
+def test_no_module_imports_a_private_name():
+    # A rule another module needs lives where it is used, or is public.
+    private = []
+    for path in MODULES + [Path(matchlab.__file__)]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
+
+
+# Helpers folded into their one caller.
+INLINED = {"objectives": ("_loss",), "trainer": ("_chunk",), "cli": ("_regularizer_from_flags",)}
+
+
+@pytest.mark.parametrize("module", sorted(INLINED))
+def test_one_caller_helpers_stay_inlined(module):
+    tree = ast.parse((Path(matchlab.__file__).parent / f"{module}.py").read_text("utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    kept = defined & set(INLINED[module])
+    assert not kept, f"{module} defines {kept}"
+
+
+def test_one_function_holds_the_target_bound():
+    # Every target check (fitting targets, mse_loss, augmented pairs) goes
+    # through one function, so the bound and its message cannot fork.
+    holders = {name for name, node in _nodes("objectives")
+               if isinstance(node, ast.Constant) and node.value == 1e-9}
+    assert holders == {"_check_targets"}, holders
