@@ -324,7 +324,8 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss_kind,
                    help="fitting loss")
     p.add_argument("--epochs", type=int, default=None,
-                   help="training epochs (default: 200 contrastive, 5 mse)")
+                   help="training epochs (default: " + ", ".join(
+                       f"{n} {kind}" for kind, n in DEFAULT_EPOCHS.items()) + ")")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
                    help="examples per batch")
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
@@ -403,8 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regularizer kind")
     p.add_argument("--reg-lambda", type=float, default=RegularizerConfig.lam,
                    help="penalty weight")
+    by_fraction: dict[float, list[str]] = {}  # the masking kinds by default fraction
+    for kind in ("itvreg", "itvaug", "maskreg"):
+        by_fraction.setdefault(RegularizerConfig(kind=kind).resolved_mask_fraction, []).append(kind)
     p.add_argument("--mask-fraction", type=float, default=RegularizerConfig.mask_fraction,
-                   help="intervention mask fraction (default: 0.5 itvreg/itvaug, 0.15 maskreg)")
+                   help="intervention mask fraction (default: " + ", ".join(
+                       f"{f:g} {'/'.join(kinds)}" for f, kinds in by_fraction.items()) + ")")
     p.add_argument("--dropout-rate", type=float, default=RegularizerConfig.dropout_rate,
                    help="simcse dropout rate")
     p.add_argument("--itvaug-fraction", type=float, default=RegularizerConfig.itvaug_fraction,

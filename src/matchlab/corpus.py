@@ -68,6 +68,13 @@ class PairIndex(NamedTuple):
         """Number of pairs each item appears in, by column."""
         return np.bincount(self.cols, minlength=len(self.item_ids))
 
+    def positive_matrix(self) -> np.ndarray:
+        """The (queries, items) bool matrix of the positive pairs, built anew
+        at each call."""
+        out = np.zeros((len(self.query_ids), len(self.item_ids)), dtype=bool)
+        out[self.rows[self.positive], self.cols[self.positive]] = True
+        return out
+
 
 @dataclass
 class Corpus:
@@ -80,7 +87,8 @@ class Corpus:
     and pairs (in order) with those the index was built from, and rebuilds
     it when any of them differ. A rebuild checks the pairs as construction
     does, with the same CorpusError. Editing a query's or an item's tokens
-    leaves the index as it is, since it holds no tokens.
+    leaves the index as it is, since it holds no tokens. ``evaluate`` keeps
+    its query inputs in the ``__dict__`` too, checked against the index.
     """
 
     queries: dict[str, Tokens]

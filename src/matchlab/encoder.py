@@ -233,7 +233,7 @@ class SentenceTable(Sequence):
         ids[real] = np.fromiter(chain.from_iterable(sentences), np.intp, int(lengths.sum()))
         # A stable sort keeps equal ids in sentence order and padding last.
         positions = ids.argsort(axis=1, kind="stable")
-        ids = np.take_along_axis(ids, positions, axis=1)
+        ids.sort(axis=1)  # the ids at those positions, sorted faster than taken
         ids[~real] = 0
         return cls(ids, lengths, positions)
 

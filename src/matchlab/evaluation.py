@@ -8,12 +8,21 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, Sentence, Tokens, Vocab, interpolate_ood, write_table
-from .encoder import EmbeddingModel, encode, encode_batch, encode_error, row_dots
+from .corpus import (
+    Corpus,
+    CorpusError,
+    PairIndex,
+    Sentence,
+    Tokens,
+    Vocab,
+    interpolate_ood,
+    write_table,
+)
+from .encoder import EmbeddingModel, SentenceTable, encode, encode_batch, encode_error, row_dots
 
 NO_TRUTH_BIN = -1
 
@@ -103,19 +112,85 @@ def _encode_items(
     return ids, list(excluded), rows
 
 
-def _item_ids(vocab: Vocab, items: Mapping[str, Tokens]) -> dict[str, Sentence]:
-    """The items' token ids under ``vocab``, the last call's dict when the
+def _item_ids(
+    vocab: Vocab, items: Mapping[str, Tokens]
+) -> tuple[dict[str, Sentence], dict[str, int]]:
+    """The items' token ids under ``vocab``, and the copy of
+    ``vocab.token_to_id`` they were mapped under: the last call's when the
     items equal its dict of tuples and ``vocab.token_to_id`` its copy (each
     one ``==``), for ``Vocab.encode`` reads nothing else."""
     global _last_item_ids
     if _last_item_ids is not None:
         last, token_to_id, id_items = _last_item_ids
         if _equal(items, last) and _equal(vocab.token_to_id, token_to_id):
-            return id_items
+            return id_items, token_to_id
     id_items = {iid: vocab.encode(toks) for iid, toks in items.items()}
-    _last_item_ids = ({iid: tuple(toks) for iid, toks in items.items()},
-                      dict(vocab.token_to_id), id_items)
-    return id_items
+    token_to_id = dict(vocab.token_to_id)
+    _last_item_ids = ({iid: tuple(toks) for iid, toks in items.items()}, token_to_id, id_items)
+    return id_items, token_to_id
+
+
+class _QueryInputs(NamedTuple):
+    """What ``evaluate`` reads of a corpus and a vocabulary but of no model,
+    with what it was built from: the pair index, the queries as a dict of
+    tuples and a copy of ``vocab.token_to_id``. Rows are the queries in id
+    order and columns the items in id order."""
+
+    index: PairIndex
+    queries: dict[str, Tokens]
+    token_to_id: dict[str, int]
+    table: SentenceTable  # the queries' token ids
+    relevant: np.ndarray  # read-only: the positive matrix
+    anchor: np.ndarray  # each query's anchor column (see evaluate)
+    has_truth: np.ndarray  # bool: the query has a relevant item
+    counts: np.ndarray  # each item's pair count
+    labeled: np.ndarray  # bool, per pair: relevance 1.0 or 0.0
+    bins: dict[int, list[int]]  # n_bins -> each query's bin
+
+    def query_bins(self, n_bins: int) -> list[int]:
+        """Each query's bin among n_bins frequency bins: its anchor's, or
+        NO_TRUTH_BIN. Kept per n_bins."""
+        bins = self.bins.get(n_bins)
+        if bins is None:
+            bins = self.bins[n_bins] = np.where(
+                self.has_truth, _frequency_bins(self.counts, n_bins)[self.anchor],
+                NO_TRUTH_BIN).tolist()
+        return bins
+
+    @classmethod
+    def build(cls, corpus: Corpus, index: PairIndex, vocab: Vocab,
+              token_to_id: dict[str, int]) -> "_QueryInputs":
+        """The entry of ``corpus``, whose pair index is ``index``, under
+        ``vocab``, whose token_to_id equals its copy ``token_to_id``."""
+        queries = {qid: tuple(toks) for qid, toks in corpus.queries.items()}
+        relevant = index.positive_matrix()
+        relevant.setflags(write=False)
+        counts = index.item_counts()
+        # A query's anchor is its first relevant item by descending count,
+        # ties toward the smaller id; its bin is the anchor's.
+        by_count = np.argsort(-counts, kind="stable")
+        return cls(index, queries, token_to_id,
+                   SentenceTable.of([vocab.encode(queries[qid]) for qid in index.query_ids]),
+                   relevant, by_count[relevant[:, by_count].argmax(axis=1)],
+                   relevant.any(axis=1), counts, index.positive | index.negative, {})
+
+
+def _query_inputs(corpus: Corpus, vocab: Vocab, token_to_id: dict[str, int]) -> _QueryInputs:
+    """The corpus's ``_QueryInputs`` under ``vocab``, whose token_to_id equals
+    its copy ``token_to_id``. The entry is kept in the corpus's ``__dict__``,
+    beside its pair index, and reused while ``corpus.pair_index()`` returns
+    the index it was built from, ``corpus.queries`` equals its dict of tuples
+    and ``vocab.token_to_id`` its copy (each one ``==``; a copy that is
+    ``token_to_id`` itself was just compared)."""
+    index = corpus.pair_index()
+    cached = corpus.__dict__.get("_query_inputs")
+    if (cached is not None and cached.index is index and _equal(corpus.queries, cached.queries)
+            and (cached.token_to_id is token_to_id
+                 or _equal(vocab.token_to_id, cached.token_to_id))):
+        return cached
+    cached = _QueryInputs.build(corpus, index, vocab, token_to_id)
+    corpus.__dict__["_query_inputs"] = cached
+    return cached
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -237,13 +312,19 @@ def _auc_partial(scores: np.ndarray, labels: np.ndarray, fpr_max: float) -> floa
 def item_frequency_quantiles(corpus: Corpus, n_bins: int = 5) -> dict[str, int]:
     """Assign each item to one of n_bins equal-count bins by ascending pair
     count (``_frequency_bins``), keyed by item id in ascending order."""
-    n_items = len(corpus.items)
-    if n_bins < 1:
-        raise CorpusError(f"n_bins must be >= 1, got {n_bins}")
-    if n_bins > n_items:
-        raise CorpusError(f"n_bins={n_bins} exceeds item count {n_items}")
+    _check_n_bins(n_bins, len(corpus.items), CorpusError)
     index = corpus.pair_index()
     return dict(zip(index.item_ids, _frequency_bins(index.item_counts(), n_bins).tolist()))
+
+
+def _check_n_bins(n_bins: int, n_items: int | None, error: type[ValueError]) -> None:
+    """Raise ``error`` unless 1 <= n_bins <= n_items, the bound of an
+    equal-count binning of n_items items; n_items None checks the lower
+    bound alone."""
+    if n_bins < 1:
+        raise error(f"n_bins must be >= 1, got {n_bins}")
+    if n_items is not None and n_bins > n_items:
+        raise error(f"n_bins={n_bins} exceeds item count {n_items}")
 
 
 def _frequency_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:
@@ -307,8 +388,14 @@ def evaluate(
     ``vocab.token_to_id`` equal the copies the last call took
     (``_item_ids``), and their encoding while those ids and the table rows
     they read are unchanged (``_encode_items``, shared with ``rank_items``).
-    The pairs are read as arrays from ``corpus.pair_index()``, built at the
-    corpus's first call and rebuilt only after an edit of its ids or pairs.
+    What depends on the corpus and the vocabulary alone (the queries' token
+    ids as one ``SentenceTable``, the positive matrix, each query's bin for
+    each n_bins asked for and the labeled-pair mask) is kept on the corpus
+    (``_query_inputs``) and reused while all three of these hold:
+    ``corpus.pair_index()`` returns the index it was built from (the pair
+    index is built at the corpus's first call and rebuilt only after an edit
+    of its ids or pairs), ``corpus.queries`` equals the snapshot taken then,
+    and ``vocab.token_to_id`` equals its copy. Otherwise it is rebuilt.
     P@k reads each query's top max-feasible-k items from ``_top_k``, which
     orders only the items scoring at least the k-th best.
     """
@@ -322,44 +409,36 @@ def evaluate(
         if k < 1:
             raise EvalError(f"k must be >= 1, got {k}")
     ks = list(dict.fromkeys(ks))  # a repeated k is reported once
-    if n_bins < 1:
-        raise EvalError(f"n_bins must be >= 1, got {n_bins}")
+    _check_n_bins(n_bins, None, EvalError)  # the item count once the queries encode
 
-    vocab = theta.vocab
-    item_ids, excluded, item_matrix = _encode_items(theta, _item_ids(vocab, corpus.items))
+    id_items, token_to_id = _item_ids(theta.vocab, corpus.items)
+    item_ids, excluded, item_matrix = _encode_items(theta, id_items)
     if not item_ids:
         raise EvalError("no candidate item could be encoded")
 
-    index = corpus.pair_index()
-    qids = index.query_ids
-    q_sents = [vocab.encode(corpus.queries[qid]) for qid in qids]
-    q = encode_batch(theta, q_sents)
+    inputs = _query_inputs(corpus, theta.vocab, token_to_id)
+    index = inputs.index
+    q = encode_batch(theta, inputs.table)
     if not q.ok.all():
         i = int(np.argmin(q.ok))  # the first query that fails
-        exc = encode_error(theta, q_sents[i], q.norms[i])
-        raise EvalError(f"query {qids[i]!r} failed to encode: {exc}") from exc
-    if n_bins > len(corpus.items):
-        raise EvalError(f"n_bins={n_bins} exceeds item count {len(corpus.items)}")
+        exc = encode_error(theta, inputs.table[i], q.norms[i])
+        raise EvalError(f"query {index.query_ids[i]!r} failed to encode: {exc}") from exc
+    _check_n_bins(n_bins, len(corpus.items), EvalError)
+    q_bin = inputs.query_bins(n_bins)
 
-    # Queries in id order are the rows, all items in id order the columns.
-    all_ids, p_row, p_col, truth = index.item_ids, index.rows, index.cols, index.positive
-    relevant = np.zeros((len(qids), len(all_ids)), dtype=bool)
-    relevant[p_row[truth], p_col[truth]] = True
-    counts = index.item_counts()
-    # A query's anchor is its first relevant item by descending count, ties
-    # toward the smaller id; its bin is the anchor's.
-    by_count = np.argsort(-counts, kind="stable")
-    anchor = by_count[relevant[:, by_count].argmax(axis=1)]
-    q_bin = np.where(relevant.any(axis=1),
-                     _frequency_bins(counts, n_bins)[anchor], NO_TRUTH_BIN).tolist()
-
-    ok = np.ones(len(all_ids), dtype=bool)
-    ok[[bisect_left(all_ids, iid) for iid in excluded]] = False
+    # Queries in id order are the rows, the encodable items in id order the
+    # columns: an excluded item's column is dropped, and each pair's column
+    # renumbered to its item's row of item_matrix.
+    relevant, labeled, p_col = inputs.relevant, inputs.labeled, index.cols
+    if excluded:
+        ok = np.ones(len(index.item_ids), dtype=bool)
+        ok[[bisect_left(index.item_ids, iid) for iid in excluded]] = False
+        relevant, labeled, p_col = relevant[:, ok], labeled & ok[p_col], (ok.cumsum() - 1)[p_col]
     scores = row_dots(item_matrix, q.embeddings[:, None])
     feasible = [k for k in ks if k <= len(item_ids)]
     # ids ascend, so ties go by id; top-1 exists whatever ks holds
     order = _top_k(scores, max(feasible, default=1))
-    hits = np.cumsum(np.take_along_axis(relevant[:, ok], order, axis=1), axis=1)
+    hits = np.cumsum(np.take_along_axis(relevant, order, axis=1), axis=1)
     hits_at = {k: hits[:, k - 1].tolist() for k in feasible}
 
     # Python float adds in query order: numpy's pairwise sum rounds some
@@ -380,11 +459,9 @@ def evaluate(
     quantile_p1 = {b: bin_sum[b] / bin_mass[b] for b in bin_mass}
 
     auc = None
-    labeled = (truth | index.negative) & ok[p_col]
-    labels = truth[labeled].astype(np.int64)
+    labels = index.positive[labeled].astype(np.int64)
     if 0 < labels.sum() < len(labels):
-        item_row = np.cumsum(ok) - 1  # an encodable item's row of item_matrix
-        auc = _auc_partial(scores[p_row[labeled], item_row[p_col[labeled]]], labels, 0.05)
+        auc = _auc_partial(scores[index.rows[labeled], p_col[labeled]], labels, 0.05)
 
     return EvalReport(
         split=split,

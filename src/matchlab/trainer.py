@@ -202,8 +202,7 @@ def train(
                  + [vocab.encode(corpus_train.items[iid]) for iid in index.item_ids])
 
     if config.loss_kind == "contrastive":
-        relevant = np.zeros((n_q, len(index.item_ids)), dtype=bool)
-        relevant[index.rows[index.positive], index.cols[index.positive]] = True
+        relevant = index.positive_matrix()
         anchors = relevant.any(axis=1).nonzero()[0]
         if len(anchors) < 2:
             raise TrainError("contrastive training needs >= 2 queries with a relevant item")

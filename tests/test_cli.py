@@ -655,6 +655,31 @@ class TestDefaultsAndDigests:
                 else dataclasses.replace(TrainConfig(), loss_kind="mse", epochs=5))
         assert config == want
 
+    @pytest.mark.parametrize("moved", [False, True], ids=["as-is", "moved"])
+    @pytest.mark.parametrize("command", sorted(TRAIN_REQUIRED))
+    def test_help_states_the_default_constants(self, command, moved, monkeypatch):
+        # The defaults --epochs and --mask-fraction name in --help are read
+        # from DEFAULT_EPOCHS and resolved_mask_fraction: moved constants
+        # move the help with them.
+        if moved:
+            monkeypatch.setitem(matchlab.cli.DEFAULT_EPOCHS, "contrastive", 7)
+            monkeypatch.setitem(matchlab.cli.DEFAULT_EPOCHS, "mse", 3)
+            monkeypatch.setattr(RegularizerConfig, "resolved_mask_fraction", property(
+                lambda self: 0.25 if self.kind == "maskreg" else 0.75))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(out.getvalue().split())
+        epochs = matchlab.cli.DEFAULT_EPOCHS
+        assert (f"training epochs (default: {epochs['contrastive']} contrastive, "
+                f"{epochs['mse']} mse)") in text
+        fraction = {kind: RegularizerConfig(kind=kind).resolved_mask_fraction
+                    for kind in ("itvreg", "itvaug", "maskreg")}
+        assert fraction["itvreg"] == fraction["itvaug"]
+        stated = (f"intervention mask fraction (default: {fraction['itvreg']:g} itvreg/itvaug, "
+                  f"{fraction['maskreg']:g} maskreg)")
+        assert (stated in text) == (command == "train")
+
     def test_split_defaults_are_the_spec_defaults(self):
         ns = build_parser().parse_args(["split", "--corpus", "c", "--out-dir", "d"])
         assert (ns.train_fraction, ns.seed) == (SplitSpec().train_fraction, SplitSpec().seed)

@@ -19,6 +19,7 @@ import matchlab.evaluation
 from matchlab import (
     Corpus,
     CorpusError,
+    EmbeddingModel,
     EncodeError,
     EvalError,
     EvalReport,
@@ -29,6 +30,7 @@ from matchlab import (
     encode,
     evaluate,
     init_model,
+    item_frequency_quantiles,
     precision_at_k,
     quantile_gain_report,
     rank_items,
@@ -39,8 +41,9 @@ from matchlab import (
     write_report_json,
     write_sweep_csv,
 )
-from matchlab.evaluation import _encode_items
+from matchlab.evaluation import _QueryInputs, _encode_items
 
+import reference
 from conftest import make_vocab, model_from_rows, random_model, random_sentence
 
 
@@ -303,12 +306,15 @@ def vocab_encodes(monkeypatch):
 
 
 def evaluate_without_memos(*args, **kwargs):
-    """``evaluate`` with each item's tokens mapped and each item encoded on
-    its own, as if no catalogue had been seen before."""
+    """``evaluate`` with each item's tokens mapped, each item encoded on its
+    own and the corpus's query inputs built anew, as if no catalogue and no
+    corpus had been seen before."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matchlab.evaluation, "_encode_items", encode_each_item)
-        mp.setattr(matchlab.evaluation, "_item_ids", lambda vocab, items: {
-            iid: vocab.encode(toks) for iid, toks in items.items()})
+        mp.setattr(matchlab.evaluation, "_item_ids", lambda vocab, items: (
+            {iid: vocab.encode(toks) for iid, toks in items.items()}, dict(vocab.token_to_id)))
+        mp.setattr(matchlab.evaluation, "_query_inputs", lambda corpus, vocab, token_to_id:
+                   _QueryInputs.build(corpus, corpus.pair_index(), vocab, token_to_id))
         return evaluate(*args, **kwargs)
 
 
@@ -321,7 +327,7 @@ class TestTokenMemo:
         first = evaluate(model, corpus, ks=(1, 3), n_bins=2)
         vocab_encodes.clear()
         assert evaluate(model, corpus, ks=(1, 3), n_bins=2) == first
-        assert sorted(vocab_encodes) == sorted(corpus.queries.values())
+        assert vocab_encodes == []  # the corpus keeps its queries' ids too
 
     @pytest.mark.parametrize("edit", ["token_to_id", "item_tokens", "table_row"])
     def test_in_place_edit_misses(self, edit, vocab_encodes, encode_calls):
@@ -340,7 +346,8 @@ class TestTokenMemo:
         encode_calls.clear()
         got = evaluate(model, corpus, ks=(1, 3), n_bins=2)
         n_queries, n_items = len(corpus.queries), len(corpus.items)
-        mapped = n_queries + (0 if edit == "table_row" else n_items)
+        mapped = (n_queries if edit == "token_to_id" else 0) + \
+            (0 if edit == "table_row" else n_items)
         assert len(vocab_encodes) == mapped
         assert len(encode_calls) == n_queries + n_items
         assert got == evaluate_without_memos(model, corpus, ks=(1, 3), n_bins=2)
@@ -450,6 +457,66 @@ class TestPairIndex:
         assert evaluate(model, corpus, ks=(1, 3), n_bins=2) == \
             evaluate(model, _fresh(corpus), ks=(1, 3), n_bins=2)
         assert corpus.pair_index() is index
+
+
+def _swap_token_ids(corpus: Corpus, model: EmbeddingModel) -> None:
+    t2i = model.vocab.token_to_id  # two tokens the queries read swap ids
+    t2i["t1"], t2i["t2"] = t2i["t2"], t2i["t1"]
+
+
+def _unencodable_item(corpus: Corpus, model: EmbeddingModel):
+    second = model.copy()
+    second.table[second.vocab.token_to_id["t9"]] = 0.0  # item i99's one token
+    return second, 2
+
+
+class TestQueryInputs:
+    """evaluate keeps what the corpus and the vocabulary alone decide (the
+    queries' ids, the positive matrix, the bins and the labeled-pair mask)
+    on the corpus, and rebuilds it after any edit that changes it."""
+
+    # Each edits in place, or returns the (model, n_bins) of the next call.
+    EDITS = {
+        "query-tokens": lambda c, m: c.queries.__setitem__("q00", ("t5", "t6")),
+        "token-to-id": _swap_token_ids,
+        "n-bins": lambda c, m: (m, 3),
+        "append-pair": lambda c, m: c.pairs.append(Pair("q00", "i05", 1.0)),
+        "remove-pair": lambda c, m: c.pairs.__delitem__(0),
+        "replace-pair": lambda c, m: c.pairs.__setitem__(0, Pair("q11", "i05", 1.0)),
+        "unencodable-item": _unencodable_item,
+    }
+
+    @staticmethod
+    def _case():
+        """A corpus and a model in which item i99 alone reads token t9."""
+        corpus, model = _eval_corpus_and_model(seed=14)
+        extra = np.random.default_rng(14).normal(0.0, 0.6, (1, model.dim))
+        model = EmbeddingModel(np.vstack([model.table, extra]), make_vocab(9))
+        corpus = Corpus(corpus.queries, {**corpus.items, "i99": ("t9",)},
+                        corpus.pairs + [Pair("q01", "i99", 1.0)])
+        return corpus, model
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_an_edit_between_calls_gives_the_oracle(self, edit):
+        corpus, model = self._case()
+        first = evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        model, n_bins = self.EDITS[edit](corpus, model) or (model, 2)
+        got = evaluate(model, corpus, ks=(1, 3), n_bins=n_bins)
+        assert got == reference.evaluate(model, corpus, (1, 3), n_bins)
+        assert got == evaluate_without_memos(model, corpus, ks=(1, 3), n_bins=n_bins)
+        assert got != first
+        assert got.excluded_items == (["i99"] if edit == "unencodable-item" else [])
+
+    def test_a_second_model_reuses_the_entry(self, vocab_encodes):
+        corpus, model = self._case()
+        evaluate(model, corpus, ks=(1, 3), n_bins=2)
+        entry = corpus.__dict__["_query_inputs"]
+        tuned = model.copy()
+        tuned.table[1:] += 0.25
+        vocab_encodes.clear()
+        got = evaluate(tuned, corpus, ks=(1, 3), n_bins=2)
+        assert vocab_encodes == [] and corpus.__dict__["_query_inputs"] is entry
+        assert got == reference.evaluate(tuned, corpus, (1, 3), 2)
 
 
 class TestPrecisionAtK:
@@ -603,6 +670,31 @@ class TestEvaluate:
         assert len(corpus.items) == 6
         with pytest.raises(EvalError, match=f"n_bins={n_bins} exceeds item count 6"):
             evaluate(model, corpus, ks=(1,), n_bins=n_bins)
+
+    @pytest.mark.parametrize("n_bins", [0, -1, 7, 100])
+    def test_both_binnings_state_one_bin_count_bound(self, n_bins):
+        # item_frequency_quantiles and evaluate check n_bins by one rule, with
+        # one message each, in their own error type.
+        corpus, model = _eval_corpus_and_model(seed=3)
+        assert len(corpus.items) == 6
+        want = (f"n_bins must be >= 1, got {n_bins}" if n_bins < 1
+                else f"n_bins={n_bins} exceeds item count 6")
+        with pytest.raises(CorpusError) as binned:
+            item_frequency_quantiles(corpus, n_bins)
+        with pytest.raises(EvalError) as evaluated:
+            evaluate(model, corpus, ks=(1,), n_bins=n_bins)
+        assert (type(binned.value), str(binned.value)) == (CorpusError, want)
+        assert (type(evaluated.value), str(evaluated.value)) == (EvalError, want)
+
+    def test_a_failing_query_is_raised_before_a_too_large_bin_count(self):
+        model = model_from_rows([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        corpus = Corpus({"q0": ("t3",), "q1": ("t1", "t2")}, {"a": ("t3",), "b": ("t1",)},
+                        [Pair("q0", "a", 1.0)])
+        with pytest.raises(EvalError, match="^query 'q1' failed to encode: "):
+            evaluate(model, corpus, ks=(1,), n_bins=3)
+        with pytest.raises(EvalError, match="^n_bins=3 exceeds item count 2$"):
+            evaluate(model, Corpus({"q0": ("t3",)}, corpus.items, corpus.pairs),
+                     ks=(1,), n_bins=3)
 
     def test_auc_matches_hand_built_pair_list(self):
         corpus, model = _eval_corpus_and_model(seed=2)
