@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -74,6 +75,12 @@ def _comma_list(text: str, kind: type, what: str) -> list:
     if not vals:
         raise CliError(f"empty {what} list")
     return vals
+
+
+def _default(fn, name: str):
+    """The default of ``fn``'s parameter ``name``, which the flag feeding it
+    repeats."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _seed(text: str) -> int:
@@ -362,11 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate items per brand (default: queries-per-brand/5)")
     p.add_argument("--eval-queries-per-brand", type=int, default=None,
                    help="eval queries per brand (default: queries-per-brand/5)")
-    p.add_argument("--descriptors-per-category", type=int, default=2,
+    p.add_argument("--descriptors-per-category", type=int,
+                   default=_default(synth_generate, "descriptors_per_category"),
                    help="descriptor vocabulary per category")
     p.add_argument("--descriptors-per-sentence", type=int, default=None,
                    help="descriptors drawn per sentence (default: all of them)")
-    p.add_argument("--noise-per-sentence", type=int, default=2,
+    p.add_argument("--noise-per-sentence", type=int,
+                   default=_default(synth_generate, "noise_per_sentence"),
                    help="filler tokens drawn per sentence")
     p.add_argument("--seed", type=_seed, default=0, help="generator seed")
     p.set_defaults(func=cmd_synth)
@@ -387,8 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--vocab-out", required=True, help="vocabulary TSV path to write")
     p.add_argument("--trace-out", default=None, help="optional loss-trace CSV")
-    p.add_argument("--dim", type=int, default=32, help="embedding dimension")
-    p.add_argument("--min-freq", type=int, default=1, help="vocabulary frequency floor")
+    p.add_argument("--dim", type=int, default=_default(init_model, "dim"),
+                   help="embedding dimension")
+    p.add_argument("--min-freq", type=int, default=_default(build_vocab, "min_freq"),
+                   help="vocabulary frequency floor")
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_pretrain_base)
 
@@ -423,9 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--csv", default=None, help="optional flat CSV row")
-    p.add_argument("--ks", default="1,3,5", help="comma-separated precision cutoffs")
-    p.add_argument("--bins", type=int, default=5, help="item-frequency quantile bins")
-    p.add_argument("--split-tag", default="eval", help="label recorded in the report")
+    p.add_argument("--ks", default=",".join(map(str, _default(evaluate, "ks"))),
+                   help="comma-separated precision cutoffs")
+    p.add_argument("--bins", type=int, default=_default(evaluate, "n_bins"),
+                   help="item-frequency quantile bins")
+    p.add_argument("--split-tag", default=_default(evaluate, "split"),
+                   help="label recorded in the report")
     p.set_defaults(func=cmd_eval)
 
     p = add("sweep", "interpolate OOD items into an IID corpus and evaluate")
@@ -436,8 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="NAME=CHECKPOINT; repeat for several models")
     p.add_argument("--fractions", default="0,0.25,0.5,0.75,1",
                    help="comma-separated pool fractions")
-    p.add_argument("--ks", default="1,3,5", help="comma-separated precision cutoffs")
-    p.add_argument("--bins", type=int, default=5, help="item-frequency quantile bins")
+    p.add_argument("--ks", default=",".join(map(str, _default(sweep_interpolation, "ks"))),
+                   help="comma-separated precision cutoffs")
+    p.add_argument("--bins", type=int, default=_default(sweep_interpolation, "n_bins"),
+                   help="item-frequency quantile bins")
     p.add_argument("--seed", type=_seed, default=0, help="pool sampling seed")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)

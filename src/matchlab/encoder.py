@@ -18,8 +18,8 @@ import numpy as np
 from .corpus import Sentence, Vocab
 
 NORM_EPS = 1e-9
-# Padding of a sentence-order id row before it is sorted: it sorts after
-# every id, so each row's ids come first, ascending.
+# A sentence table's padding: out of every vocabulary's range, and sorted
+# after every id, so a sorted row's ids come first, ascending.
 _PAD = np.iinfo(np.intp).max
 
 # splitmix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
@@ -210,69 +210,57 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class SentenceTable(Sequence):
     """Sentences as a padded id matrix, the form ``encode_batch`` reads
-    without building one. Row i holds sentence i's ids ascending, the order
-    ``encode`` sums in, in its first ``lengths[i]`` slots, with 0 after
-    them; ``positions[i, j]`` is the position in the sentence of the token
-    in slot j, and a padding slot's position is j, so each row's positions
-    are a permutation of the columns. A mask or a dropout view hashes those
-    positions, as it hashes the sentence's. Item i is sentence i as a tuple
-    in sentence order."""
+    without building one: row i holds sentence i in sentence order in its
+    first ``lengths[i]`` slots, with padding after them (an id past every
+    vocabulary). Item i is sentence i as a tuple."""
 
-    __slots__ = ("ids", "lengths", "positions")
+    __slots__ = ("ids", "lengths")
 
-    def __init__(self, ids: np.ndarray, lengths: np.ndarray, positions: np.ndarray) -> None:
-        self.ids, self.lengths, self.positions = ids, lengths, positions
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray) -> None:
+        self.ids, self.lengths = ids, lengths
 
     @classmethod
     def of(cls, sentences: Sequence[Sequence[int]]) -> "SentenceTable":
         n = len(sentences)
         lengths = np.fromiter(map(len, sentences), np.intp, n)
-        width = int(lengths.max(initial=0))
-        real = np.arange(width) < lengths[:, None]
-        ids = np.full((n, width), _PAD)
-        ids[real] = np.fromiter(chain.from_iterable(sentences), np.intp, int(lengths.sum()))
-        # A stable sort keeps equal ids in sentence order and padding last.
-        positions = ids.argsort(axis=1, kind="stable")
-        ids.sort(axis=1)  # the ids at those positions, sorted faster than taken
-        ids[~real] = 0
-        return cls(ids, lengths, positions)
+        ids = np.full((n, int(lengths.max(initial=0))), _PAD)
+        ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(sentences), np.intp)
+        return cls(ids, lengths)
 
     def take(self, rows: np.ndarray) -> "SentenceTable":
         """Rows ``rows`` as a table as wide as their longest sentence."""
         lengths = self.lengths.take(rows)
         width = int(lengths.max(initial=0))
-        return SentenceTable(self.ids.take(rows, axis=0)[:, :width], lengths,
-                             self.positions.take(rows, axis=0)[:, :width])
+        return SentenceTable(self.ids.take(rows, axis=0)[:, :width], lengths)
+
+    def drop(self, rows: np.ndarray, dropped: np.ndarray) -> "SentenceTable":
+        """Rows ``rows`` with the slots where ``dropped`` (one row each, as
+        wide as this table) is True removed; the kept ids keep their order."""
+        lengths = self.lengths.take(rows)
+        keep = ~dropped & (np.arange(dropped.shape[1]) < lengths[:, None])
+        kept = np.count_nonzero(keep, axis=1)
+        ids = np.full((len(rows), int(kept.max(initial=0))), _PAD)
+        ids[np.arange(ids.shape[1]) < kept[:, None]] = self.ids.take(rows, axis=0)[keep]
+        return SentenceTable(ids, kept)
 
     @staticmethod
     def concat(tables: Sequence["SentenceTable"]) -> "SentenceTable":
         """The tables' rows in order, padded to the widest."""
-        width = max(t.ids.shape[1] for t in tables)
-        n = sum(len(t) for t in tables)
-        ids = np.zeros((n, width), dtype=np.intp)
-        positions = np.empty((n, width), dtype=np.intp)
-        positions[:] = np.arange(width)
+        ids = np.full((sum(map(len, tables)), max(t.ids.shape[1] for t in tables)), _PAD)
         at = 0
         for t in tables:
             rows, w = t.ids.shape
             ids[at:at + rows, :w] = t.ids
-            positions[at:at + rows, :w] = t.positions
             at += rows
-        return SentenceTable(ids, np.concatenate([t.lengths for t in tables]), positions)
-
-    def in_order(self, rows: np.ndarray) -> np.ndarray:
-        """The id rows ``rows`` in sentence order, padding after."""
-        out = np.empty((len(rows), self.ids.shape[1]), dtype=np.intp)
-        np.put_along_axis(out, self.positions.take(rows, axis=0),
-                          self.ids.take(rows, axis=0), axis=1)
-        return out
+        return SentenceTable(ids, np.concatenate([t.lengths for t in tables]))
 
     def __len__(self) -> int:
         return len(self.lengths)
 
     def __getitem__(self, i: int) -> Sentence:
         i = range(len(self))[i]  # an index out of range raises IndexError
-        return tuple(self.in_order([i])[0, :self.lengths[i]].tolist())
+        return tuple(self.ids[i, :self.lengths[i]].tolist())
 
 
 @dataclass
@@ -288,7 +276,7 @@ class BatchEncodeResult:
     norms: np.ndarray
     ids: np.ndarray
     real: np.ndarray
-    rates: Sequence[float]
+    rates: np.ndarray
     keep: np.ndarray | None
 
 
@@ -302,67 +290,54 @@ def encode_batch(
     ``encode(model, sentences[i], rates[i], seeds[i]).embedding`` (rates and
     seeds default to 0). Where ``encode`` would raise (empty sentence, id
     outside the vocabulary, degenerate norm), ``ok[i]`` is False and row i is
-    zero. A :class:`SentenceTable` is read as it is; other sentences become
-    one padded matrix, sorted row by row."""
-    n, (v, d) = len(sentences), model.table.shape
+    zero. Sentences other than a :class:`SentenceTable` become one; each
+    plain row's ids are sorted, the order ``encode`` sums in, and a dropout
+    row stays in sentence order, which its keep mask follows."""
+    table = sentences if isinstance(sentences, SentenceTable) else SentenceTable.of(sentences)
+    n, (v, d) = len(table), model.table.shape
     for name, given in (("rates", rates), ("seeds", seeds)):
         if given is not None and len(given) != n:
             raise ValueError(f"{name} has length {len(given)}, sentences {n}")
-    if rates is None:
-        rates, drop = [0.0] * n, None
-    elif not (((rates >= 0.0) & (rates < 1.0)).all() if isinstance(rates, np.ndarray)
-              else all(0.0 <= r < 1.0 for r in rates)):
+    rate = np.zeros(n) if rates is None else np.asarray(rates, dtype=np.float64)
+    if rates is not None and not ((rate >= 0.0) & (rate < 1.0)).all():
         raise EncodeError(f"dropout rates must be in [0, 1), got {rates}")
-    else:
-        drop = np.flatnonzero(rates)  # the dropout rows
-        drop = drop if len(drop) else None
-    # A plain row's ids ascending, the order encode sums in; a dropout row's in
-    # sentence order, which its keep mask follows.
-    if isinstance(sentences, SentenceTable):
-        lengths, ids = sentences.lengths, sentences.ids
-        if drop is not None:
-            ids = ids.copy()
-            ids[drop] = sentences.in_order(drop)
-        real = np.arange(ids.shape[1]) < lengths[:, None]
-        tokens = ids  # padding holds 0, a valid id
-    else:
-        lengths = np.fromiter(map(len, sentences), np.intp, n)
-        ids = np.full((n, max(map(len, sentences), default=0)), _PAD)
-        real = np.arange(ids.shape[1]) < lengths[:, None]
-        ids[real] = tokens = np.fromiter(chain.from_iterable(sentences), np.intp)
-        if drop is None:
-            ids.sort(axis=1)
-        elif len(drop) < n:
-            plain = np.asarray(rates) == 0.0
-            ids[plain] = np.sort(ids[plain], axis=1)
+    drop = rate.nonzero()[0]  # the dropout rows
+    ids, lengths = table.ids, table.lengths
+    if not len(drop):
+        ids = np.sort(ids, axis=1)  # padding sorts after every id
+    elif len(drop) < n:
+        plain = rate == 0.0
+        ids = ids.copy()
+        ids[plain] = np.sort(ids[plain], axis=1)
     width = ids.shape[1]
+    real = np.arange(width) < lengths[:, None]
     vectors = model.table.take(ids, axis=0, mode="clip")  # a bad id's row fails below
     keep = None
-    if drop is not None:
+    if len(drop):
         # One hash over every dropout row; what falls on padding is never read.
+        # A list's seeds become an object array, which keeps any integer.
+        seeds = np.zeros(n, np.uint64) if seeds is None else np.asarray(
+            seeds, dtype=getattr(seeds, "dtype", object))
         keep = np.ones(vectors.shape, dtype=bool)
-        words = seed_words(seeds[drop] if isinstance(seeds, np.ndarray)
-                           else [0 if seeds is None else seeds[i] for i in drop])
-        keep[drop] = (_dropout_uniforms(words, width, d)
-                      >= np.asarray(rates)[drop, None, None])
+        keep[drop] = _dropout_uniforms(seed_words(seeds[drop]), width, d) >= rate[drop, None, None]
         vectors = vectors * keep
     # Padding is left out, so each row sums exactly as encode's does.
     sums = np.add.reduce(vectors, axis=1, where=real[..., None])
     if keep is not None:
-        sums = sums / (1.0 - np.array(rates))[:, None]
+        sums = sums / (1.0 - rate)[:, None]
     norms = np.sqrt(row_dots(sums, sums))
     # An empty or degenerate sum fails, and so does a row with an id outside
     # the vocabulary (a negative id wraps past v); a non-finite sum encodes,
-    # as in encode.
+    # as in encode. One maximum over the real slots clears the common case.
     ok = ~(norms <= NORM_EPS)
-    if (tokens.view(np.uintp) >= v).any():
+    if ids.view(np.uintp).max(where=real, initial=0) >= v:
         ok &= ~np.logical_or.reduce(ids.view(np.uintp) >= v, axis=1, where=real)
     if ok.all():
         emb = sums / norms[:, None]
     else:  # a failing row divides by 1, then is zeroed
         emb = sums / np.where(ok, norms, 1.0)[:, None]
         emb[~ok] = 0.0
-    return BatchEncodeResult(emb, ok, norms, ids, real, rates, keep)
+    return BatchEncodeResult(emb, ok, norms, ids, real, rate, keep)
 
 
 def sum_rows(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +379,7 @@ def encode_backward(result: EncodeResult, upstream: np.ndarray) -> dict[int, np.
     keep = None if result.keep is None else result.keep[None]
     view = BatchEncodeResult(u[None], np.ones(1, dtype=bool),
                              np.array([np.linalg.norm(result.prenorm_sum)]), ids,
-                             np.ones(ids.shape, dtype=bool), [result.rate], keep)
+                             np.ones(ids.shape, dtype=bool), np.array([result.rate]), keep)
     keys, grads = encode_batch_backward(view, [0], upstream[None])
     return dict(zip(keys.tolist(), grads))
 
@@ -433,7 +408,7 @@ def encode_batch_backward(
     np.not_equal(tok[1:], tok[:-1], out=start[1:-1])
     start[1:-1] |= j[1:] == 0
     if result.keep is not None:
-        rates = np.asarray(result.rates).take(rows)
+        rates = result.rates.take(rows)
         start[:-1] |= (rates != 0.0).take(use)
     at = start.nonzero()[0]
     count, at = at[1:] - at[:-1], at[:-1]

@@ -60,27 +60,11 @@ def mask_rows(
     table: SentenceTable, rows: np.ndarray, fraction: float, seeds: Sequence[int]
 ) -> SentenceTable:
     """Rows ``rows`` of ``table``, row i masked under ``seeds[i]`` by the rule
-    of :func:`mask_fraction`, as a table: each row is its source row with
-    the dropped slots removed, so its ids stay ascending, and its positions
-    count only the kept tokens. Every source row must be long enough to
-    mask."""
-    lengths = table.lengths.take(rows)
-    dropped = _dropped(lengths, fraction, seeds, table.ids.shape[1])
-    positions = table.positions.take(rows, axis=0)
-    # A slot is dropped when its position is; the positions before a kept one
-    # that were dropped shift it down.
-    keep = ~np.take_along_axis(dropped, positions, axis=1)
-    keep &= np.arange(keep.shape[1]) < lengths[:, None]
-    shifted = positions - np.take_along_axis(dropped.cumsum(axis=1), positions, axis=1)
-    kept = np.count_nonzero(keep, axis=1)
-    width = int(kept.max(initial=0))
-    real = np.arange(width) < kept[:, None]
-    ids = np.zeros((len(rows), width), dtype=np.intp)
-    ids[real] = table.ids.take(rows, axis=0)[keep]
-    out = np.empty((len(rows), width), dtype=np.intp)
-    out[:] = np.arange(width)
-    out[real] = shifted[keep]
-    return SentenceTable(ids, kept, out)
+    of :func:`mask_fraction`, as a table: each row is its source sentence with
+    the dropped positions removed, in sentence order. Every source row must
+    be long enough to mask."""
+    return table.drop(rows, _dropped(table.lengths.take(rows), fraction, seeds,
+                                     table.ids.shape[1]))
 
 
 def _dropped(lengths: np.ndarray, fraction: float, seeds: Sequence[int],
@@ -114,12 +98,20 @@ def importance_scores(model: EmbeddingModel, sentence: Sentence) -> list[float]:
     Positions whose removal leaves a degenerate (unencodable) remainder get
     NaN; the other positions are still scored.
     """
-    if len(sentence) < 2:
-        raise InterventionError(
-            f"importance needs at least 2 tokens, got {len(sentence)}"
-        )
-    views = [sentence] + [mask_single(sentence, j) for j in range(len(sentence))]
-    enc = encode_batch(model, views)  # the full sentence, then each position masked
+    return _scores(model, sentence, _deletions(sentence))
+
+
+def _deletions(sentence: Sentence) -> SentenceTable:
+    """The sentence, then the sentence with position j deleted for each j."""
+    n = len(sentence)
+    if n < 2:
+        raise InterventionError(f"importance needs at least 2 tokens, got {n}")
+    return SentenceTable.of([sentence] + [mask_single(sentence, j) for j in range(n)])
+
+
+def _scores(model: EmbeddingModel, sentence: Sentence, views: SentenceTable) -> list[float]:
+    """:func:`importance_scores` of ``sentence`` from its ``_deletions`` views."""
+    enc = encode_batch(model, views)
     if not enc.ok[0]:
         raise encode_error(model, sentence, enc.norms[0])
     full, masked = enc.embeddings[0], enc.embeddings[1:]
@@ -142,8 +134,8 @@ def importance_report(
     theta: EmbeddingModel, theta0: EmbeddingModel, sentence: Sentence
 ) -> ImportanceReport:
     check_shared_vocab(theta, theta0)
-    s = importance_scores(theta, sentence)
-    s0 = importance_scores(theta0, sentence)
+    views = _deletions(sentence)  # one table, encoded under both models
+    s, s0 = _scores(theta, sentence, views), _scores(theta0, sentence, views)
     amp = [a / max(b, AMPLIFICATION_FLOOR) for a, b in zip(s, s0)]
     return ImportanceReport(
         sentence=tuple(sentence),

@@ -220,6 +220,8 @@ def _kernel(
     weight, 1/n_fit or lam/n_pen, and the backward adds the views' gradients
     in term order."""
     parts = [fit] + [p for p in penalties if len(p.views)]
+    if not isinstance(views, SentenceTable):  # built once for both models
+        views = SentenceTable.of(views)
     enc = encode_batch(theta, views, rates, seeds)
     emb, good = enc.embeddings, enc.ok
     rows = [p.views for p in parts]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import matchlab
-from matchlab import RegularizerConfig, SplitSpec, TrainConfig, load_corpus
+from matchlab import (RegularizerConfig, SplitSpec, TrainConfig, build_vocab, evaluate,
+                      init_model, load_corpus, sweep_interpolation, synth_generate)
 from matchlab.cli import _resolve_epochs, build_parser, main
 
 
@@ -683,6 +685,49 @@ class TestDefaultsAndDigests:
     def test_split_defaults_are_the_spec_defaults(self):
         ns = build_parser().parse_args(["split", "--corpus", "c", "--out-dir", "d"])
         assert (ns.train_fraction, ns.seed) == (SplitSpec().train_fraction, SplitSpec().seed)
+
+    EVAL_REQUIRED = ["--corpus", "c", "--checkpoint", "m", "--vocab", "v", "--out", "o"]
+    SWEEP_REQUIRED = ["--iid", "i", "--pool", "p", "--vocab", "v", "--model", "a=m", "--out", "o"]
+    # (command, its required flags, flag dest, the library function the flag
+    # feeds, its parameter, another value for that parameter's default)
+    LIBRARY_DEFAULTS = [
+        ("synth", ["--out-dir", "d"], "descriptors_per_category", synth_generate,
+         "descriptors_per_category", 5),
+        ("synth", ["--out-dir", "d"], "noise_per_sentence", synth_generate,
+         "noise_per_sentence", 4),
+        ("pretrain-base", TRAIN_REQUIRED["pretrain-base"], "dim", init_model, "dim", 8),
+        ("pretrain-base", TRAIN_REQUIRED["pretrain-base"], "min_freq", build_vocab,
+         "min_freq", 3),
+        ("eval", EVAL_REQUIRED, "ks", evaluate, "ks", (2, 7)),
+        ("eval", EVAL_REQUIRED, "bins", evaluate, "n_bins", 3),
+        ("eval", EVAL_REQUIRED, "split_tag", evaluate, "split", "held"),
+        ("sweep", SWEEP_REQUIRED, "ks", sweep_interpolation, "ks", (4,)),
+        ("sweep", SWEEP_REQUIRED, "bins", sweep_interpolation, "n_bins", 2),
+    ]
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["as-is", "moved"])
+    @pytest.mark.parametrize("command,required,dest,fn,param,other", LIBRARY_DEFAULTS,
+                             ids=[f"{c[0]}-{c[2]}" for c in LIBRARY_DEFAULTS])
+    def test_flag_defaults_are_the_library_defaults(self, command, required, dest, fn, param,
+                                                    other, moved, monkeypatch):
+        # A flag left out passes the library's own default: a moved library
+        # default moves the flag's with it.
+        if moved:
+            params = inspect.signature(fn).parameters
+            if params[param].kind is inspect.Parameter.KEYWORD_ONLY:
+                monkeypatch.setattr(fn, "__kwdefaults__", {**fn.__kwdefaults__, param: other})
+            else:  # __defaults__ holds the defaulted positional parameters' defaults
+                defaulted = [p.name for p in params.values()
+                             if p.default is not p.empty and p.kind is not p.KEYWORD_ONLY]
+                defaults = list(fn.__defaults__)
+                defaults[defaulted.index(param)] = other
+                monkeypatch.setattr(fn, "__defaults__", tuple(defaults))
+        want = inspect.signature(fn).parameters[param].default
+        assert (want == other) == moved
+        got = getattr(build_parser().parse_args([command, *required]), dest)
+        if dest == "ks":
+            got = tuple(int(k) for k in got.split(","))
+        assert got == want
 
     def test_digest_is_stable_and_flag_sensitive(self, pipeline, tmp_path, monkeypatch):
         root, _ = pipeline

@@ -5,8 +5,9 @@ selects its top k without sorting a whole score matrix, the pair index is
 the one pass from a corpus's pairs to arrays, the training step keeps its
 sentences in id arrays and takes them in no other form, one writer makes
 every synthetic sentence and one parser reads every comma-list flag. No
-module imports another's private name, one-caller helpers stay inlined, and
-one function holds the target bound."""
+module imports another's private name, one-caller helpers stay inlined, one
+function holds the target bound, and only the encoder builds a sentence
+table, which holds its ids in sentence order and nothing beside them."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import matchlab
+from matchlab import SentenceTable
 
 MODULES = sorted(p for p in Path(matchlab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
@@ -256,3 +258,18 @@ def test_one_function_holds_the_target_bound():
     holders = {name for name, node in _nodes("objectives")
                if isinstance(node, ast.Constant) and node.value == 1e-9}
     assert holders == {"_check_targets"}, holders
+
+
+def test_only_the_encoder_builds_a_sentence_table():
+    # Other modules get a table from SentenceTable.of or from a table's own
+    # methods (take, drop, concat), so its layout and padding have one owner.
+    built = [f"{path.name}:{node.lineno}" for path in MODULES if path.stem != "encoder"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SentenceTable"]
+    assert not built, built
+
+
+def test_a_sentence_table_keeps_no_positions():
+    # Rows are in sentence order, so no permutation back to it is stored.
+    assert SentenceTable.__slots__ == ("ids", "lengths")
+    assert not hasattr(SentenceTable, "positions") and not hasattr(SentenceTable, "in_order")
